@@ -76,12 +76,12 @@ class PulseBackend:
         channel_store : optional
             Default persistent Clifford-channel store for RB workloads on
             this backend: ``"auto"``, a directory path, a
-            :class:`~repro.benchmarking.store.CliffordChannelStore`, or
+            :class:`~repro.store.ArtifactStore`, or
             ``None`` (no persistence).  Experiments may override it per run
             via their own ``store=`` knob.  Stale reads after a properties
             drift are impossible by construction — the store key embeds the
             properties fingerprint (see
-            :meth:`~repro.benchmarking.store.CliffordChannelStore.channel_table_key`).
+            :meth:`~repro.store.ArtifactStore.channel_table_key`).
         """
         self.properties = properties
         self.options = options or SimulationOptions()
@@ -93,7 +93,7 @@ class PulseBackend:
         )
         if channel_store is not None:
             # resolve eagerly so a bad knob fails at construction, not mid-run
-            from ..benchmarking.store import resolve_store
+            from ..store import resolve_store
 
             channel_store = resolve_store(channel_store)
         #: Default persistent store consulted by the RB channel engine

@@ -21,17 +21,16 @@ calibrated gates.  This package implements the full stack from scratch:
 * :mod:`~repro.benchmarking.tableau` — the symplectic-tableau Clifford
   composer: composition and inversion as integer arithmetic on packed
   binary tableaux instead of matrix products,
-* :mod:`~repro.benchmarking.store` — the legacy-named facade over the
-  unified content-addressed artifact store (:mod:`repro.store`): channel
-  tables (memory-mapped, shared read-only across worker processes), group
-  enumerations, persisted GRAPE pulses and the result cache, with a
-  ``store="auto" | path | None`` knob on the experiments,
 * the protocol zoo on the same channels engine —
   :mod:`~repro.benchmarking.xeb` (linear cross-entropy benchmarking),
   :mod:`~repro.benchmarking.purity` (purity RB / unitarity estimation) and
   :mod:`~repro.benchmarking.cycle` (cycle benchmarking under random Pauli
   twirls), each with a ``"circuits"`` reference path asserted equivalent
   to the channels path.
+
+Persistence (channel tables, group enumerations) lives in
+:mod:`repro.store`; the experiments take a ``store="auto" | path | None``
+knob.
 """
 
 from .clifford import CliffordGroup, clifford_group, CliffordElement
@@ -41,7 +40,6 @@ from .fitting import fit_rb_decay, RBDecayFit
 from .purity import PurityRBResult, purity_rb_sequences, run_purity_rb, state_purity
 from .rb import RBExperiment, RBResult, StandardRB, execute_rb_sequences, rb_circuits, rb_sequences
 from .irb import InterleavedRB, InterleavedRBExperiment, InterleavedRBResult
-from .store import CliffordChannelStore, ChannelTableHandle, default_store_root, resolve_store
 from .tableau import CliffordTableauIndex, Tableau
 from .xeb import XEBResult, linear_xeb_fidelities, run_xeb, xeb_sequences
 
@@ -61,15 +59,11 @@ __all__ = [
     "CliffordGroup",
     "CliffordElement",
     "CliffordChannelTable",
-    "CliffordChannelStore",
     "CliffordTableauIndex",
-    "ChannelTableHandle",
     "Tableau",
     "clifford_channel_table",
     "clifford_group",
     "used_element_indices",
-    "default_store_root",
-    "resolve_store",
     "fit_rb_decay",
     "RBDecayFit",
     "RBExperiment",

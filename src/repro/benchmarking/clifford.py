@@ -261,7 +261,7 @@ class CliffordGroup:
         return float(np.mean([len(e.word) for e in self._elements]))
 
     # ------------------------------------------------------------------ #
-    # persistence (consumed by repro.benchmarking.store)
+    # persistence (consumed by repro.store)
     # ------------------------------------------------------------------ #
     def to_arrays(self, include_matrices: bool = False) -> dict[str, np.ndarray]:
         """Flatten the enumerated group into plain arrays.
@@ -269,7 +269,7 @@ class CliffordGroup:
         The payload (generator words as packed int triples, tableau
         rows/phases) is everything needed to rebuild the group without
         re-running the breadth-first enumeration; it is what
-        :class:`~repro.benchmarking.store.CliffordChannelStore` persists so
+        :class:`~repro.store.ArtifactStore` persists so
         warm sessions skip the ~2 s two-qubit BFS.  Element matrices are
         **omitted by default** — they dominated the persisted two-qubit
         file (~2.9 MB of ~3 MB) and :meth:`from_arrays` re-derives them
@@ -468,9 +468,8 @@ def clifford_group(n_qubits: int, store=None) -> CliffordGroup:
         1 or 2.
     store : optional
         A persistent store selector (``"auto"``, a directory path, a
-        :class:`~repro.benchmarking.store.CliffordChannelStore`, or ``None``
-        for in-process only — see
-        :func:`~repro.benchmarking.store.resolve_store`).  With a store, the
+        :class:`~repro.store.ArtifactStore`, or ``None`` for in-process
+        only — see :func:`~repro.store.resolve_store`).  With a store, the
         enumerated group (words, matrices, tableaux) is loaded from disk
         when present — skipping the ~2 s two-qubit breadth-first search —
         and persisted after a cold build.
@@ -480,7 +479,7 @@ def clifford_group(n_qubits: int, store=None) -> CliffordGroup:
     CliffordGroup
         The (process-cached) group.
     """
-    from .store import resolve_store
+    from ..store import resolve_store
 
     store = resolve_store(store)
     group = _GROUP_CACHE.get(n_qubits)

@@ -34,13 +34,13 @@ from typing import Sequence
 import numpy as np
 
 from .clifford import CliffordElement, CliffordGroup
-from .store import ChannelTableHandle, resolve_store
 from ..backend.noise import readout_confusion_matrix
 from ..backend.sampling import channel_output_probabilities, sample_measurement
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gate import Gate
 from ..circuits.transpiler import transpile
 from ..pulse.schedule import Schedule
+from ..store import ChannelTableHandle, resolve_store
 from ..utils.parallel import parallel_map
 from ..utils.seeding import default_rng
 from ..utils.validation import ValidationError
@@ -105,7 +105,7 @@ class CliffordChannelTable:
         local-to-physical mapping).
     group : CliffordGroup
         The Clifford group being tabulated.
-    store : CliffordChannelStore, optional
+    store : ArtifactStore, optional
         Persistent store; ``None`` keeps the table purely in-memory.
     """
 

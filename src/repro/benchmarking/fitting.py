@@ -101,7 +101,6 @@ def fit_rb_decay(
 
     # Initial guesses: alpha from the ratio of neighbouring points, A and B
     # from the end points.
-    b0 = 1.0 / 2 ** max(1, int(round(np.log2(max(2, round(1 / max(p.min(), 1e-6))))))) if p_asymptote is None else p_asymptote
     b0 = min(max(p.min() * 0.9, 0.0), 0.75) if p_asymptote is None else p_asymptote
     a0 = max(p[0] - b0, 1e-3)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -52,11 +52,11 @@ def _resolve_experiment_store(store, backend):
     """Resolve an experiment-level ``store`` knob against the backend default.
 
     Returns either a resolved
-    :class:`~repro.benchmarking.store.CliffordChannelStore` or ``False``
+    :class:`~repro.store.ArtifactStore` or ``False``
     (persistence off), never ``None`` — so downstream layers do not re-apply
     the backend fallback.
     """
-    from .store import resolve_store
+    from ..store import resolve_store
 
     if store is not None:
         resolved = resolve_store(store)
@@ -363,7 +363,7 @@ class RBExperiment:
     store:
         Persistent Clifford-store selector: ``"auto"`` (default cache
         directory), a directory path, a
-        :class:`~repro.benchmarking.store.CliffordChannelStore`, ``False``
+        :class:`~repro.store.ArtifactStore`, ``False``
         (force off) or ``None`` (default — inherit the backend's
         ``channel_store``).  See ``docs/caching.md`` for the full
         cache/fingerprint/invalidation contract.

@@ -32,7 +32,7 @@ x↔z block swap, followed by one phase back-substitution pass per row.
 :class:`~repro.benchmarking.clifford.CliffordGroup` to its tableau, keyed by
 a packed integer, giving O(1) ``compose_index`` / ``inverse_index`` without
 touching the element matrices.  Its arrays round-trip through
-:mod:`repro.benchmarking.store` so the enumeration is shared across
+:mod:`repro.store` so the enumeration is shared across
 sessions.
 """
 

@@ -63,6 +63,7 @@ from .planner import SessionPlan, plan_specs, prep_steps_for
 from .results import ExperimentResult
 from .specs import ExperimentSpec, GRAPESpec, OptimizerSpec
 from ..obs import ShadowSampler, Trace, resolve_trace_sink
+from ..utils.parallel import start_pool
 from ..utils.validation import ValidationError
 
 __all__ = ["Session"]
@@ -80,8 +81,7 @@ class Session:
         demand with ``calibrated_qubits=[0, 1]`` (the paper's layout).
     store : optional
         Persistent Clifford-store selector: ``"auto"`` (default cache
-        directory), a path, a
-        :class:`~repro.benchmarking.store.CliffordChannelStore`, or
+        directory), a path, a :class:`~repro.store.ArtifactStore`, or
         ``None`` / ``False`` for no persistence.
     num_workers : int
         Default process fan-out for spec execution: ``0`` = all available
@@ -151,6 +151,9 @@ class Session:
         self.grape_batch = grape_batch
         self._trace_local = threading.local()
         self.num_workers = int(num_workers)
+        # fork the process pool now, while this thread runs alone: a fork
+        # from an executor thread can copy a lock another thread holds
+        start_pool(self.num_workers)
         self.seed = seed
         self._backends: dict[str, object] = {}
         self._adopted = []
@@ -1162,26 +1165,15 @@ def _canonical(device: str) -> str:
 
 
 def _counter_deltas(before: dict, after: dict) -> dict:
-    """Non-zero per-namespace counter deltas between two store snapshots.
-
-    Handles both stats shapes: the :class:`~repro.store.ArtifactStore`'s
-    nested ``{namespace: {counter: n}}`` and the legacy
-    ``CliffordChannelStore`` facade's flat ``{counter: n}``.
-    """
+    """Non-zero per-namespace deltas between two ``ArtifactStore.stats`` snapshots."""
     deltas: dict = {}
     for namespace, counters in after.items():
-        base = before.get(namespace)
-        if isinstance(counters, dict):
-            base = base if isinstance(base, dict) else {}
-            changed = {
-                key: value - base.get(key, 0)
-                for key, value in counters.items()
-                if value - base.get(key, 0)
-            }
-            if changed:
-                deltas[namespace] = changed
-        elif isinstance(counters, (int, float)):
-            delta = counters - (base if isinstance(base, (int, float)) else 0)
-            if delta:
-                deltas[namespace] = delta
+        base = before.get(namespace, {})
+        changed = {
+            key: value - base.get(key, 0)
+            for key, value in counters.items()
+            if value - base.get(key, 0)
+        }
+        if changed:
+            deltas[namespace] = changed
     return deltas

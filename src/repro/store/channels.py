@@ -98,16 +98,6 @@ class ChannelTableHandle:
 class ChannelTableMixin:
     """Typed API of the ``channel_tables`` namespace (mixed into the store)."""
 
-    @classmethod
-    def _channel_format_version(cls) -> int:
-        """Format version the instance keys and validates tables against.
-
-        A classmethod hook so the legacy
-        :class:`~repro.benchmarking.store.CliffordChannelStore` facade can
-        keep honouring its historical module-level constant.
-        """
-        return STORE_FORMAT_VERSION
-
     # ------------------------------------------------------------------ #
     # keys
     # ------------------------------------------------------------------ #
@@ -142,7 +132,7 @@ class ChannelTableMixin:
         ]
         payload = json.dumps(
             {
-                "version": cls._channel_format_version(),
+                "version": STORE_FORMAT_VERSION,
                 "properties": backend.properties.fingerprint(),
                 "qubits": qubits,
                 "group_order": len(group),
@@ -171,7 +161,7 @@ class ChannelTableMixin:
             manifest = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None
-        if manifest.get("version") != self._channel_format_version():
+        if manifest.get("version") != STORE_FORMAT_VERSION:
             return None
         return manifest
 
@@ -286,7 +276,7 @@ class ChannelTableMixin:
             atomic_save_array(directory / ids_file, ids)
             atomic_save_array(directory / channels_file, stacked)
             manifest = {
-                "version": self._channel_format_version(),
+                "version": STORE_FORMAT_VERSION,
                 "key": key,
                 "ids_file": ids_file,
                 "channels_file": channels_file,

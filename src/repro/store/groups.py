@@ -30,15 +30,8 @@ GROUP_FORMAT_VERSION = 2
 class GroupMixin:
     """Typed API of the ``groups`` namespace (mixed into the store)."""
 
-    @classmethod
-    def _group_format_version(cls) -> int:
-        """Format version encoded in group file names (facade-overridable)."""
-        return GROUP_FORMAT_VERSION
-
     def _group_path(self, n_qubits: int) -> Path:
-        return self.namespace_dir("groups") / (
-            f"clifford_{n_qubits}q_v{self._group_format_version()}.npz"
-        )
+        return self.namespace_dir("groups") / f"clifford_{n_qubits}q_v{GROUP_FORMAT_VERSION}.npz"
 
     def load_group_arrays(self, n_qubits: int) -> dict[str, np.ndarray] | None:
         """Load a persisted Clifford-group enumeration, or None when absent."""

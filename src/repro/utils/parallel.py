@@ -1,24 +1,27 @@
-"""Simple parallel/serial map helper for embarrassingly parallel sweeps.
+"""Process-pool map helper for embarrassingly parallel work.
 
-Parameter sweeps in the benchmark harness (pulse-duration sweeps, RB seeds,
-drift-study days) are embarrassingly parallel.  :func:`parallel_map` provides
-a single entry point that runs serially by default (deterministic, easy to
-profile) and can fan out to a process pool when ``num_workers > 1``.
-
-The serial path is the default because the individual tasks in this library
-are NumPy-heavy (they already use multi-threaded BLAS) and typically complete
-in milliseconds to seconds; process-pool pickling overhead only pays off for
-long-running independent tasks such as full IRB experiments.
+RB sequence execution fans out over :func:`parallel_map`.  The helper runs
+serially at ``num_workers=1``; ``num_workers > 1`` (or ``0`` = every CPU)
+maps over a process pool.  A default :class:`~repro.session.Session` uses
+``num_workers=0``, so its RB specs fan out; pass ``num_workers=1`` for a
+serial, easy-to-profile run.
 
 The pool is **persistent**: repeated ``parallel_map`` calls with the same
 worker count reuse one module-level :class:`ProcessPoolExecutor` instead of
 re-spawning workers per call.  Worker startup (fork + interpreter/numpy
 warm-up) costs tens to hundreds of milliseconds, which used to dominate
-sub-second RB workloads; with reuse it is paid once per session.  Workers
+sub-second RB workloads; with reuse it is paid once per process.  Workers
 also keep their process-local caches — notably the memory-mapped channel
-tables of :mod:`repro.benchmarking.store` — warm across calls.  Call
+tables of :mod:`repro.store` — warm across calls.  Call
 :func:`shutdown_pool` to reclaim the workers explicitly (an ``atexit`` hook
 does it at interpreter exit).
+
+**Starting the pool.**  Under ``fork`` the workers are copies of the
+process at the moment the pool starts; a fork taken while another thread
+holds a lock leaves that lock held forever in the child.  A multi-worker
+:class:`~repro.session.Session` therefore calls :func:`start_pool` from the
+thread that constructs it, before it runs any thread of its own, and pool
+creation is serialized so two threads' first maps cannot each build one.
 
 **Start methods.**  The pool honours the multiprocessing *start method*
 selected by ``$REPRO_MP_START`` (``fork`` | ``spawn`` | ``forkserver``; the
@@ -27,7 +30,7 @@ practice; ``spawn`` — the only method on Windows and the default on macOS —
 re-imports the worker interpreter from scratch, so workers receive no
 forked module state.  Everything the RB engine ships to workers is
 picklable by construction (module-level functions, frozen dataclass
-contexts, :class:`~repro.benchmarking.store.ChannelTableHandle` instead of
+contexts, :class:`~repro.store.ChannelTableHandle` instead of
 live memory maps), and a spawn-context **initializer** re-applies the
 parent's ``REPRO_*`` environment knobs (store directory, smoke flags) in
 each fresh worker so path resolution matches the parent.  CI runs a matrix
@@ -39,6 +42,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing as mp
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -47,6 +51,7 @@ __all__ = [
     "parallel_map",
     "available_workers",
     "auto_chunksize",
+    "start_pool",
     "shutdown_pool",
     "pool_start_method",
 ]
@@ -61,6 +66,9 @@ _START_METHODS = ("fork", "spawn", "forkserver")
 #: the pool.
 _POOL: ProcessPoolExecutor | None = None
 _POOL_KEY: tuple[int, str] | None = None
+#: Serializes creation and shutdown of the persistent executor (re-entrant:
+#: creation shuts the previous executor down under the same lock).
+_POOL_LOCK = threading.RLock()
 
 
 def pool_start_method() -> str:
@@ -110,25 +118,41 @@ def _worker_init(environment: dict[str, str]) -> None:
     os.environ.update(environment)
 
 
-def _make_pool(num_workers: int, start_method: str) -> ProcessPoolExecutor:
-    """Create an executor bound to an explicit start-method context."""
-    return ProcessPoolExecutor(
-        max_workers=num_workers,
-        mp_context=mp.get_context(start_method),
-        initializer=_worker_init,
-        initargs=(_propagated_environment(),),
-    )
-
-
 def _get_pool(num_workers: int) -> ProcessPoolExecutor:
-    """The persistent executor, (re)created when count or method changes."""
+    """The persistent executor, (re)created when count or method changes.
+
+    A new executor launches all of its workers before it is returned.
+    """
     global _POOL, _POOL_KEY
     key = (num_workers, pool_start_method())
-    if _POOL is None or _POOL_KEY != key:
-        shutdown_pool()
-        _POOL = _make_pool(*key)
-        _POOL_KEY = key
-    return _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL_KEY != key:
+            shutdown_pool()
+            _POOL = ProcessPoolExecutor(
+                max_workers=num_workers,
+                mp_context=mp.get_context(key[1]),
+                initializer=_worker_init,
+                initargs=(_propagated_environment(),),
+            )
+            _POOL_KEY = key
+            # under fork the first submit launches every worker; under spawn
+            # and forkserver each submit that finds no idle worker adds one
+            for future in [_POOL.submit(int) for _ in range(num_workers)]:
+                future.result()
+        return _POOL
+
+
+def start_pool(num_workers: int) -> None:
+    """Start the persistent pool for ``num_workers`` with all its workers now.
+
+    Call it from a thread that runs alone (see the module notes).  A pool
+    that already runs with this worker count and start method is kept as
+    it is; ``num_workers`` counts as in :func:`parallel_map`, and a
+    count of one starts nothing.
+    """
+    num_workers = _worker_count(num_workers)
+    if num_workers > 1:
+        _get_pool(num_workers)
 
 
 def shutdown_pool() -> None:
@@ -138,10 +162,11 @@ def shutdown_pool() -> None:
     ``num_workers > 1`` transparently starts a fresh pool.
     """
     global _POOL, _POOL_KEY
-    if _POOL is not None:
-        _POOL.shutdown(wait=False, cancel_futures=True)
-        _POOL = None
-        _POOL_KEY = None
+    with _POOL_LOCK:
+        if _POOL is not None:
+            _POOL.shutdown(wait=False, cancel_futures=True)
+            _POOL = None
+            _POOL_KEY = None
 
 
 atexit.register(shutdown_pool)
@@ -153,6 +178,17 @@ def available_workers() -> int:
         return max(1, len(os.sched_getaffinity(0)))  # respects cgroup/affinity limits
     except AttributeError:  # pragma: no cover - non-Linux fallback
         return max(1, os.cpu_count() or 1)
+
+
+def _worker_count(num_workers: int | None) -> int:
+    """The worker count a ``num_workers`` knob selects.
+
+    ``None`` selects 1 (serial); ``0`` or a negative value selects
+    :func:`available_workers`.
+    """
+    if num_workers is None:
+        return 1
+    return available_workers() if num_workers <= 0 else int(num_workers)
 
 
 def auto_chunksize(n_items: int, num_workers: int) -> int:
@@ -168,13 +204,7 @@ def auto_chunksize(n_items: int, num_workers: int) -> int:
     return max(1, n_items // (4 * num_workers))
 
 
-def parallel_map(
-    func: Callable[[T], R],
-    items: Iterable[T],
-    num_workers: int = 1,
-    chunksize: int | None = None,
-    reuse_pool: bool = True,
-) -> list[R]:
+def parallel_map(func: Callable[[T], R], items: Iterable[T], num_workers: int = 1) -> list[R]:
     """Map ``func`` over ``items``, optionally using a process pool.
 
     Parameters
@@ -190,13 +220,6 @@ def parallel_map(
         ``ProcessPoolExecutor`` with that many workers; ``0`` or negative
         values select :func:`available_workers` — the convention the RB
         executor exposes as ``num_workers=0`` ("use every CPU").
-    chunksize:
-        Chunk size forwarded to the executor map (ignored serially).
-        ``None`` (default) picks :func:`auto_chunksize`.
-    reuse_pool:
-        Reuse the persistent module-level pool across calls (default) so
-        repeated maps do not pay worker startup each time.  ``False``
-        creates and tears down a dedicated pool for this call only.
 
     Returns
     -------
@@ -205,25 +228,18 @@ def parallel_map(
 
     Notes
     -----
-    The pool's start method follows ``$REPRO_MP_START`` (see
+    The pool is the persistent one of this module, mapped in chunks of
+    :func:`auto_chunksize` items.  Its start method follows ``$REPRO_MP_START`` (see
     :func:`pool_start_method`); changing it between calls transparently
     rolls the persistent pool.  Every worker runs the default initializer,
     which re-applies the parent's ``REPRO_*`` environment so spawned
     workers resolve the same persistent-store root as the parent.
     """
     items = list(items)
-    if num_workers is None:
-        num_workers = 1
-    if num_workers <= 0:
-        num_workers = available_workers()
+    num_workers = _worker_count(num_workers)
     if num_workers == 1 or len(items) <= 1:
         return [func(item) for item in items]
-    if chunksize is None:
-        chunksize = auto_chunksize(len(items), num_workers)
-    chunksize = max(1, chunksize)
-    if not reuse_pool:
-        with _make_pool(num_workers, pool_start_method()) as pool:
-            return list(pool.map(func, items, chunksize=chunksize))
+    chunksize = auto_chunksize(len(items), num_workers)
     try:
         return list(_get_pool(num_workers).map(func, items, chunksize=chunksize))
     except BrokenProcessPool:

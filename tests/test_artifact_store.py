@@ -96,6 +96,78 @@ class TestNamespaces:
         assert resolve_store(None) is None
 
 
+def _standard_rb(path, backend):
+    from repro.benchmarking import StandardRB
+
+    StandardRB(backend, [0], lengths=(1, 2, 4), n_seeds=1, shots=10, seed=1, store=path).run()
+
+
+def _interleaved_rb(path, backend):
+    from repro.benchmarking import InterleavedRB
+
+    InterleavedRB(backend, "x", [0], lengths=(1, 2, 4), n_seeds=1, shots=10, seed=1, store=path).run()
+
+
+def _pulse_backend(path, backend):
+    from repro.backend import PulseBackend
+
+    PulseBackend(backend.properties, calibrated_qubits=[0], channel_store=path)
+
+
+def _clifford_group(path, backend):
+    from repro.benchmarking import clifford_group
+
+    clifford_group(1, store=path)
+
+
+def _channel_table(path, backend):
+    from repro.benchmarking import clifford_channel_table, clifford_group
+
+    clifford_channel_table(backend, [0], clifford_group(1), store=path).ensure([0])
+
+
+def _session(path, backend):
+    from repro.session import Session
+
+    with Session(store=path, num_workers=1):
+        pass
+
+
+def _daemon(path, backend):
+    from repro.service.daemon import ExperimentService, ServiceConfig
+
+    service = ExperimentService(ServiceConfig(store=path, queue_path=path / "q.sqlite3", no_auth=True))
+    service.store_stats()  # merges the nested per-namespace counters
+    service.stop()
+
+
+class TestEntryPoints:
+    @pytest.mark.filterwarnings("ignore:Covariance of the parameters")
+    @pytest.mark.parametrize("entry_point", [
+        _standard_rb, _interleaved_rb, _pulse_backend, _clifford_group,
+        _channel_table, _session, _daemon,
+    ], ids=lambda f: f.__name__.lstrip("_"))
+    def test_store_selector_resolves_to_artifact_store(
+        self, entry_point, tmp_path, backend, monkeypatch
+    ):
+        """Every ``store=`` path selector builds an ArtifactStore, nested stats and all."""
+        from repro.store.core import StoreCore
+
+        built = []
+        original_init = StoreCore.__init__
+
+        def recording_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(StoreCore, "__init__", recording_init)
+        entry_point(tmp_path / "store", backend)
+        assert built
+        for store in built:
+            assert type(store) is ArtifactStore
+            assert all(isinstance(counters, dict) for counters in store.stats.values())
+
+
 class TestPulseNamespace:
     def test_round_trip_is_lossless(self, store):
         pulse = _fake_pulse()

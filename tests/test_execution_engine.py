@@ -327,6 +327,45 @@ class TestParallelMap:
         items = list(range(20))
         assert parallel_map(_square, items, num_workers=2) == [i * i for i in items]
 
+    def test_concurrent_first_maps_share_one_pool(self, monkeypatch):
+        """Racing first maps build one pool; none cancels another's work."""
+        import sys
+        import threading
+
+        from repro.utils import parallel
+
+        created = []
+        real_executor = parallel.ProcessPoolExecutor
+
+        def counting_executor(*args, **kwargs):
+            created.append(real_executor(*args, **kwargs))
+            return created[-1]
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", counting_executor)
+        parallel.shutdown_pool()
+        n_threads = 4
+        barrier = threading.Barrier(n_threads)
+        outputs = []
+
+        def first_map():
+            barrier.wait(timeout=30)
+            outputs.append(parallel_map(_square, list(range(8)), num_workers=2))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=first_map) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            parallel.shutdown_pool()
+        assert len(created) == 1
+        assert outputs == [[i * i for i in range(8)]] * n_threads
+
 
 class TestStartMethods:
     """The spawn-safe pool path (``$REPRO_MP_START``)."""

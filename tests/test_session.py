@@ -22,7 +22,6 @@ import pytest
 from repro.backend import PulseBackend
 from repro.benchmarking.irb import InterleavedRBExperiment
 from repro.benchmarking.rb import StandardRB
-from repro.benchmarking.store import CliffordChannelStore
 from repro.circuits.gate import Gate
 from repro.devices import fake_montreal
 from repro.session import (
@@ -35,6 +34,8 @@ from repro.session import (
     plan_specs,
     spec_from_dict,
 )
+from repro.store import ArtifactStore
+from repro.utils import parallel
 from repro.utils.validation import ValidationError
 
 #: Small-but-real GRAPE workload reused across the session tests.
@@ -278,10 +279,30 @@ class TestSessionExecution:
             assert session.backend_for("ibmq_montreal") is backend
 
 
+class TestProcessPoolStart:
+    def test_multi_worker_session_starts_pool_at_construction(self):
+        """Every pool worker is alive before the session runs any thread."""
+        parallel.shutdown_pool()
+        try:
+            with Session(store=None, num_workers=2) as session:
+                workers = list(parallel._POOL._processes.values())
+                assert parallel._POOL_KEY[0] == 2
+                assert len(workers) == 2
+                assert all(worker.is_alive() for worker in workers)
+                assert not session._executor._threads
+        finally:
+            parallel.shutdown_pool()
+
+    def test_serial_session_starts_no_pool(self):
+        parallel.shutdown_pool()
+        with Session(store=None, num_workers=1):
+            assert parallel._POOL is None
+
+
 class TestSharedPreparation:
     def test_concurrent_submit_builds_table_exactly_once(self, tmp_path):
         """The acceptance criterion: overlapping specs, one table write."""
-        store = CliffordChannelStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         grape = GRAPESpec(**FAST_GRAPE)
         specs = [
             IRBSpec(calibration=grape, **FAST_IRB),
@@ -291,9 +312,10 @@ class TestSharedPreparation:
         with Session(store=store, num_workers=1, max_concurrency=3) as session:
             futures = [session.submit(spec) for spec in specs]
             results = [future.result() for future in futures]
-        assert store.stats["table_writes"] == 1
-        assert store.stats["table_write_skips"] == 0
-        assert store.stats["elements_written"] > 0
+        tables = store.namespace_stats("channel_tables")
+        assert tables["writes"] == 1
+        assert tables["write_skips"] == 0
+        assert tables["elements_written"] > 0
         # all three replay the same stored table
         keys = {r.provenance["store_key"] for r in results}
         assert len(keys) == 1
@@ -308,7 +330,7 @@ class TestSharedPreparation:
         ever rebuilt, and concurrent execution over the shared table must
         stay consistent (regression test for the prep/execute table race).
         """
-        store = CliffordChannelStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         specs = [
             IRBSpec(**{**FAST_IRB, "seed": seed}) for seed in (21, 22, 23, 24)
         ]
@@ -317,9 +339,9 @@ class TestSharedPreparation:
             results = [future.result() for future in futures]
         # the 1q group has 24 elements: across four seeds (plus merges)
         # nothing may ever be written twice
-        assert store.stats["elements_written"] <= 24
+        assert store.stats["channel_tables"]["elements_written"] <= 24
         ids, _ = store.load_channel_table(results[0].provenance["store_key"])
-        assert store.stats["elements_written"] == len(ids)
+        assert store.stats["channel_tables"]["elements_written"] == len(ids)
         # every spec individually matches its standalone run
         backend = PulseBackend(fake_montreal(), calibrated_qubits=[0, 1], seed=11)
         for spec, result in zip(specs, results):
@@ -333,7 +355,7 @@ class TestSharedPreparation:
 
     def test_run_all_plans_union_before_fanout(self, tmp_path):
         """Different seeds → different element subsets → still one write."""
-        store = CliffordChannelStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         specs = [
             RBSpec(device="montreal", qubits=(0,), lengths=(1, 4, 8), n_seeds=1,
                    shots=50, seed=seed)
@@ -341,7 +363,7 @@ class TestSharedPreparation:
         ]
         with Session(store=store, num_workers=1) as session:
             session.run_all(specs)
-        assert store.stats["table_writes"] == 1
+        assert store.stats["channel_tables"]["writes"] == 1
 
     def test_grape_optimized_exactly_once(self, monkeypatch):
         import repro.experiments.gates as gates_module
