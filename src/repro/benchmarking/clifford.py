@@ -7,10 +7,14 @@ gates.
 
 Both groups are built once (and cached) by breadth-first search over a
 generating set (H and S on each qubit, plus CNOTs for two qubits), storing
-for every element a word of generator gates that produces it.  Matrices are
-compared up to global phase via a canonical phase normalization, so the
-search enumerates the Clifford group modulo phase — 24 elements for one
-qubit and 11520 for two qubits, the standard counts.
+for every element a word of generator gates that produces it.  Elements are
+identified by their symplectic tableau (:mod:`repro.benchmarking.tableau`),
+which fixes a Clifford up to global phase, so the search enumerates the
+Clifford group modulo phase — 24 elements for one qubit and 11520 for two
+qubits, the standard counts.  Composition, inversion and lookup are tableau
+arithmetic; element matrices are only derived, by replaying each word's
+generator products in BFS order, so a group built cold and one loaded from
+the store hold bit-identical matrices.
 
 Generator words found by BFS are short for one qubit (≤ 5 gates, which the
 transpiler then collapses to at most two ``sx`` pulses plus virtual Z) and
@@ -20,12 +24,19 @@ same order as the hardware-efficient decompositions used by Qiskit's RB.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tableau import CliffordTableauIndex
+from .tableau import (
+    CliffordTableauIndex,
+    Tableau,
+    generator_tableau,
+    identity_tableau,
+    tableau_compose,
+    tableau_from_unitary,
+    tableau_key,
+)
 from ..circuits.circuit import QuantumCircuit
 from ..qobj.gates import cx_gate, hadamard, s_gate
 from ..utils.seeding import default_rng
@@ -35,22 +46,9 @@ __all__ = ["CliffordElement", "CliffordGroup", "clifford_group"]
 
 #: Generator-gate ids used by the packed word encoding of the group store.
 _GATE_IDS = {"h": 0, "s": 1, "cx": 2}
-_GATE_NAMES = {v: k for k, v in _GATE_IDS.items()}
 
 #: Expected group orders (modulo phase) used as safety checks.
 _EXPECTED_ORDER = {1: 24, 2: 11520}
-
-
-def _phase_normalize(matrix: np.ndarray, decimals: int = 6) -> bytes:
-    """Canonical byte-key of a unitary up to global phase."""
-    m = np.asarray(matrix, dtype=complex)
-    flat = m.ravel()
-    # first entry with non-negligible magnitude defines the phase reference
-    idx = int(np.argmax(np.abs(flat) > 1e-7))
-    ref = flat[idx]
-    normalized = m * (np.conj(ref) / abs(ref))
-    rounded = np.round(normalized, decimals) + 0.0  # +0.0 kills negative zeros
-    return rounded.tobytes()
 
 
 @dataclass(frozen=True)
@@ -80,50 +78,60 @@ class CliffordGroup:
     """The n-qubit Clifford group (n = 1 or 2) with native-gate words."""
 
     def __init__(self, n_qubits: int):
-        if n_qubits not in (1, 2):
-            raise ValidationError(f"CliffordGroup supports 1 or 2 qubits, got {n_qubits}")
-        self.n_qubits = n_qubits
-        self._elements: list[CliffordElement] = []
-        self._key_to_index: dict[bytes, int] = {}
-        self._tableau_index: CliffordTableauIndex | None = None
-        self._build()
+        _check_qubit_count(n_qubits)
+        generators = _generator_tableaux(n_qubits)
+        tableaux = [identity_tableau(n_qubits)]
+        seen = {tableau_key(tableaux[0])}
+        parents = [-1]
+        last_gates = [-1]
+        # ``tableaux`` doubles as the BFS queue: iterating it while appending
+        # expands parents in discovery order and generators in list order.
+        for parent, tableau in enumerate(tableaux):
+            for gate, generator in enumerate(generators):
+                child = tableau_compose(tableau, generator)
+                key = tableau_key(child)
+                if key not in seen:
+                    seen.add(key)
+                    tableaux.append(child)
+                    parents.append(parent)
+                    last_gates.append(gate)
+        self._assemble(n_qubits, parents, last_gates, CliffordTableauIndex(n_qubits, tableaux))
 
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-    def _generators(self) -> list[tuple[tuple[str, tuple[int, ...]], np.ndarray]]:
-        return _generator_list(self.n_qubits)
+    def _assemble(
+        self,
+        n_qubits: int,
+        parents: list[int],
+        last_gates: list[int],
+        tableau_index: CliffordTableauIndex,
+    ) -> None:
+        """Set up the elements from the BFS tree.
 
-    def _build(self) -> None:
-        dim = 2**self.n_qubits
-        identity = np.eye(dim, dtype=complex)
-        generators = self._generators()
-        start = CliffordElement(index=0, word=(), matrix=identity)
-        self._elements = [start]
-        self._key_to_index = {_phase_normalize(identity): 0}
-        queue: deque[int] = deque([0])
-        while queue:
-            idx = queue.popleft()
-            base = self._elements[idx]
-            for gate, gen_matrix in generators:
-                new_matrix = gen_matrix @ base.matrix
-                key = _phase_normalize(new_matrix)
-                if key in self._key_to_index:
-                    continue
-                element = CliffordElement(
-                    index=len(self._elements),
-                    word=base.word + (gate,),
-                    matrix=new_matrix,
-                )
-                self._key_to_index[key] = element.index
-                self._elements.append(element)
-                queue.append(element.index)
-        expected = _EXPECTED_ORDER[self.n_qubits]
-        if len(self._elements) != expected:
+        Element ``i`` is element ``parents[i]`` followed by generator
+        ``last_gates[i]``.  Words and matrices are replayed in index order,
+        each matrix as ``generator_matrix @ parent_matrix``, so a cold build
+        and a store load derive bit-identical elements.
+        """
+        expected = _EXPECTED_ORDER[n_qubits]
+        if len(tableau_index) != expected:
             raise ValidationError(
-                f"Clifford group construction produced {len(self._elements)} elements, "
-                f"expected {expected}"
+                f"Clifford group has {len(tableau_index)} elements, expected {expected}"
             )
+        generators = _generator_list(n_qubits)
+        dim = 2**n_qubits
+        matrices = np.empty((expected, dim, dim), dtype=complex)
+        matrices[0] = np.eye(dim, dtype=complex)
+        words: list[tuple] = [()]
+        for index in range(1, expected):
+            parent = parents[index]
+            gate, generator = generators[last_gates[index]]
+            matrices[index] = generator @ matrices[parent]
+            words.append(words[parent] + (gate,))
+        self.n_qubits = n_qubits
+        self._elements = [
+            CliffordElement(index=index, word=word, matrix=matrices[index])
+            for index, word in enumerate(words)
+        ]
+        self._tableau_index = tableau_index
 
     # ------------------------------------------------------------------ #
     # queries
@@ -150,16 +158,27 @@ class CliffordGroup:
         rng = default_rng(rng)
         return self._elements[int(rng.integers(len(self._elements)))]
 
+    def _index_of_matrix(self, matrix: np.ndarray) -> int | None:
+        """Element index of ``matrix`` up to global phase, or None."""
+        m = np.asarray(matrix, dtype=complex)
+        # checked before keying: a tableau key does not encode its qubit count
+        if m.shape != (self.dim, self.dim):
+            return None
+        try:
+            return self._tableau_index.index_of_tableau(tableau_from_unitary(m))
+        except ValidationError:
+            return None
+
     def lookup(self, matrix: np.ndarray) -> CliffordElement:
         """Find the group element equal to ``matrix`` up to global phase."""
-        key = _phase_normalize(matrix)
-        if key not in self._key_to_index:
+        index = self._index_of_matrix(matrix)
+        if index is None:
             raise ValidationError("matrix is not an element of the Clifford group")
-        return self._elements[self._key_to_index[key]]
+        return self._elements[index]
 
     def contains(self, matrix: np.ndarray) -> bool:
         """Whether ``matrix`` is a Clifford (up to global phase)."""
-        return _phase_normalize(matrix) in self._key_to_index
+        return self._index_of_matrix(matrix) is not None
 
     def compose(self, first: CliffordElement, second: CliffordElement) -> CliffordElement:
         """Group element of ``second ∘ first`` (``first`` applied first)."""
@@ -170,60 +189,16 @@ class CliffordGroup:
         return self._elements[self.inverse_index(element.index)]
 
     def tableau_index(self) -> CliffordTableauIndex:
-        """The group's symplectic-tableau index (built once, cached).
-
-        Maps every element to its packed tableau so composition and
-        inversion are integer arithmetic plus a dict lookup — no ``2^n``
-        matrix products.  Restored from persisted arrays when the group is
-        loaded through :func:`clifford_group` with a store.
-        """
-        if self._tableau_index is None:
-            self._tableau_index = CliffordTableauIndex.from_group(self)
+        """The group's symplectic-tableau index (every element's tableau)."""
         return self._tableau_index
 
     def compose_index(self, first: int, second: int) -> int:
-        """Index of ``second ∘ first`` by element index.
-
-        For the single-qubit group the full 24×24 multiplication table is
-        built once and composition becomes an integer lookup — the RB engine
-        composes tens of thousands of elements per experiment, so this path
-        avoids the matrix-product-plus-hash lookup entirely.  The two-qubit
-        group (11520 elements) composes symplectic tableaux instead
-        (see :mod:`repro.benchmarking.tableau`) — pure integer arithmetic,
-        roughly 5× faster than the 4×4 matrix-product-plus-hash path it
-        replaced, and independent of the element matrices.
-        """
-        if self.n_qubits == 1:
-            table = self._compose_table()
-            return int(table[first, second])
-        return self.tableau_index().compose_index(first, second)
+        """Index of ``second ∘ first`` by element index (tableau arithmetic)."""
+        return self._tableau_index.compose_index(first, second)
 
     def inverse_index(self, index: int) -> int:
         """Index of the group inverse by element index."""
-        if self.n_qubits == 1:
-            table = self._inverse_table()
-            return int(table[index])
-        return self.tableau_index().inverse_index(index)
-
-    def _compose_table(self) -> np.ndarray:
-        table = getattr(self, "_compose_table_cache", None)
-        if table is None:
-            n = len(self._elements)
-            table = np.empty((n, n), dtype=np.int32)
-            for i, a in enumerate(self._elements):
-                for j, b in enumerate(self._elements):
-                    table[i, j] = self.lookup(b.matrix @ a.matrix).index
-            self._compose_table_cache = table
-        return table
-
-    def _inverse_table(self) -> np.ndarray:
-        table = getattr(self, "_inverse_table_cache", None)
-        if table is None:
-            table = np.array(
-                [self.lookup(e.matrix.conj().T).index for e in self._elements], dtype=np.int32
-            )
-            self._inverse_table_cache = table
-        return table
+        return self._tableau_index.inverse_index(index)
 
     # ------------------------------------------------------------------ #
     # circuit output
@@ -263,103 +238,81 @@ class CliffordGroup:
     # ------------------------------------------------------------------ #
     # persistence (consumed by repro.store)
     # ------------------------------------------------------------------ #
-    def to_arrays(self, include_matrices: bool = False) -> dict[str, np.ndarray]:
+    def to_arrays(self) -> dict[str, np.ndarray]:
         """Flatten the enumerated group into plain arrays.
 
-        The payload (generator words as packed int triples, tableau
-        rows/phases) is everything needed to rebuild the group without
+        The payload is everything needed to rebuild the group without
         re-running the breadth-first enumeration; it is what
-        :class:`~repro.store.ArtifactStore` persists so
-        warm sessions skip the ~2 s two-qubit BFS.  Element matrices are
-        **omitted by default** — they dominated the persisted two-qubit
-        file (~2.9 MB of ~3 MB) and :meth:`from_arrays` re-derives them
-        bit-identically from the words (see
-        :func:`_matrices_from_words`).
-
-        Parameters
-        ----------
-        include_matrices : bool
-            Also emit the ``matrices`` stack (the pre-slimming format,
-            still accepted by :meth:`from_arrays` for old store files).
+        :class:`~repro.store.ArtifactStore` persists.  Element matrices are
+        not included: :meth:`from_arrays` re-derives them bit-identically
+        from the words.
 
         Returns
         -------
         dict of str to ndarray
             ``words`` (total_gates, 3) int8 ``(gate_id, q0, q1)`` triples,
-            ``word_offsets`` (N+1,) int32, ``tableau_rows`` /
-            ``tableau_phases`` (N, 2n) uint8, and — only with
-            ``include_matrices`` — ``matrices`` (N, d, d) complex.
+            ``word_offsets`` (N+1,) int32 and ``tableau_rows`` /
+            ``tableau_phases`` (N, 2n) uint8.
         """
         triples: list[tuple[int, int, int]] = []
         offsets = [0]
         for element in self._elements:
-            for name, qubits in element.word:
-                q0 = qubits[0]
-                q1 = qubits[1] if len(qubits) > 1 else -1
-                triples.append((_GATE_IDS[name], q0, q1))
+            triples.extend(_pack_gate(name, qubits) for name, qubits in element.word)
             offsets.append(len(triples))
-        rows, phases = self.tableau_index().to_arrays()
-        arrays = {
+        rows, phases = self._tableau_index.to_arrays()
+        return {
             "words": np.array(triples, dtype=np.int8).reshape(-1, 3),
             "word_offsets": np.array(offsets, dtype=np.int32),
             "tableau_rows": rows,
             "tableau_phases": phases,
         }
-        if include_matrices:
-            arrays["matrices"] = np.stack([e.matrix for e in self._elements])
-        return arrays
 
     @classmethod
     def from_arrays(cls, n_qubits: int, arrays: dict[str, np.ndarray]) -> "CliffordGroup":
         """Rebuild an enumerated group from :meth:`to_arrays` output.
 
-        Skips the breadth-first search entirely: elements, the
-        phase-normalized lookup dictionary and the tableau index are all
-        restored from the arrays.  Slim payloads (the default
-        :meth:`to_arrays` output) carry no ``matrices`` entry — the element
-        matrices are re-derived from the words, bit-identical to the eager
-        enumeration; payloads from older store files that still embed the
-        matrices are used as-is.
+        Skips the breadth-first search: the words give every element's BFS
+        parent and last generator, and the tableaux are restored as stored.
+        Each stored tableau must equal its parent's tableau composed with
+        that generator, which ties the words to the tableaux, so distinct
+        tableau keys prove the elements distinct.
+
+        Raises
+        ------
+        ValidationError
+            If the arrays do not describe the group's BFS enumeration.
         """
-        if n_qubits not in (1, 2):
-            raise ValidationError(f"CliffordGroup supports 1 or 2 qubits, got {n_qubits}")
-        group = cls.__new__(cls)
-        group.n_qubits = n_qubits
-        triples = np.asarray(arrays["words"], dtype=np.int64)
+        _check_qubit_count(n_qubits)
         offsets = np.asarray(arrays["word_offsets"], dtype=np.int64)
         expected = _EXPECTED_ORDER[n_qubits]
         if len(offsets) != expected + 1:
             raise ValidationError(
                 f"group arrays describe {len(offsets) - 1} elements, expected {expected}"
             )
-        if "matrices" in arrays:
-            matrices = np.ascontiguousarray(arrays["matrices"], dtype=complex)
-        else:
-            matrices = _matrices_from_words(n_qubits, arrays["words"], offsets)
-        if matrices.shape[0] != expected:
-            raise ValidationError(
-                f"group arrays carry {matrices.shape[0]} matrices, expected {expected}"
-            )
-        elements: list[CliffordElement] = []
-        for index in range(expected):
-            word = tuple(
-                (
-                    _GATE_NAMES[int(gate_id)],
-                    (int(q0),) if q1 < 0 else (int(q0), int(q1)),
-                )
-                for gate_id, q0, q1 in triples[offsets[index] : offsets[index + 1]]
-            )
-            elements.append(CliffordElement(index=index, word=word, matrix=matrices[index]))
-        group._elements = elements
-        group._key_to_index = {
-            _phase_normalize(e.matrix): e.index for e in elements
-        }
-        if len(group._key_to_index) != expected:
-            raise ValidationError("group arrays contain duplicate elements")
-        group._tableau_index = CliffordTableauIndex.from_arrays(
+        parents, last_gates = _bfs_tree(n_qubits, arrays["words"], offsets)
+        index = CliffordTableauIndex.from_arrays(
             n_qubits, arrays["tableau_rows"], arrays["tableau_phases"]
         )
+        if len(index) != expected or index.tableau(0) != identity_tableau(n_qubits):
+            raise ValidationError("group arrays do not start at the identity tableau")
+        generators = _generator_tableaux(n_qubits)
+        for i in range(1, expected):
+            parent = index.tableau(parents[i])
+            if tableau_compose(parent, generators[last_gates[i]]) != index.tableau(i):
+                raise ValidationError(f"group arrays element {i}: tableau does not match its word")
+        group = cls.__new__(cls)
+        group._assemble(n_qubits, parents, last_gates, index)
         return group
+
+
+def _check_qubit_count(n_qubits: int) -> None:
+    if n_qubits not in (1, 2):
+        raise ValidationError(f"CliffordGroup supports 1 or 2 qubits, got {n_qubits}")
+
+
+def _pack_gate(name: str, qubits: tuple[int, ...]) -> tuple[int, int, int]:
+    """``(gate_id, q0, q1)`` triple of a generator gate (``q1 = -1`` for 1q gates)."""
+    return (_GATE_IDS[name], qubits[0], qubits[1] if len(qubits) > 1 else -1)
 
 
 def _cx_reversed() -> np.ndarray:
@@ -370,12 +323,10 @@ def _cx_reversed() -> np.ndarray:
 
 
 def _generator_list(n_qubits: int) -> list[tuple[tuple[str, tuple[int, ...]], np.ndarray]]:
-    """Generator gates ``((name, local_qubits), matrix)`` of the BFS.
+    """Generator gates ``((name, local_qubits), matrix)`` in BFS order.
 
-    Shared by the breadth-first enumeration and by the lazy
-    matrix-from-words derivation of :meth:`CliffordGroup.from_arrays`: both
-    must multiply the *exact same* float matrices for the derived element
-    matrices to be bit-identical to the eagerly enumerated ones.
+    The list order fixes the enumeration order, and the matrices are the
+    exact operands every element matrix is replayed from.
     """
     h = hadamard()
     s = s_gate()
@@ -392,19 +343,19 @@ def _generator_list(n_qubits: int) -> list[tuple[tuple[str, tuple[int, ...]], np
     ]
 
 
-def _matrices_from_words(
-    n_qubits: int, triples: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    """Re-derive every element matrix from the stored generator words.
+def _generator_tableaux(n_qubits: int) -> list[Tableau]:
+    """Tableaux of :func:`_generator_list`, in the same order."""
+    return [generator_tableau(name, qubits, n_qubits) for (name, qubits), _ in _generator_list(n_qubits)]
 
-    Element matrices dominate the persisted two-qubit group file (11520 ×
-    4×4 complex ≈ 2.9 MB of the ~3 MB total), yet they are fully determined
-    by the words: the breadth-first search created every element as
-    ``generator_matrix @ parent_matrix`` where the parent's word is the
-    element's word minus its last gate.  Replaying exactly that product in
-    index order reproduces each matrix **bit-identically** (same operands,
-    same operation, same order), so the store can drop the matrices and
-    this function rebuilds them in a few tens of milliseconds on load.
+
+def _bfs_tree(
+    n_qubits: int, triples: np.ndarray, offsets: np.ndarray
+) -> tuple[list[int], list[int]]:
+    """Every element's BFS parent and last generator, read off stored words.
+
+    The breadth-first search gives element ``i`` the word of an earlier
+    element (its parent) plus one generator, so the parent is found by the
+    word prefix.
 
     Parameters
     ----------
@@ -418,41 +369,40 @@ def _matrices_from_words(
 
     Returns
     -------
-    ndarray
-        ``(N, d, d)`` complex element matrices in index order.
+    parents, last_gates : list of int
+        Parent index and :func:`_generator_list` position per element
+        (``-1`` for the identity, element 0).
     """
-    gens: dict[tuple[int, int, int], np.ndarray] = {}
-    for (name, qubits), matrix in _generator_list(n_qubits):
-        q0 = qubits[0]
-        q1 = qubits[1] if len(qubits) > 1 else -1
-        gens[(_GATE_IDS[name], q0, q1)] = matrix
+    gate_of = {
+        _pack_gate(name, qubits): position
+        for position, ((name, qubits), _) in enumerate(_generator_list(n_qubits))
+    }
     packed = np.ascontiguousarray(triples, dtype=np.int8)
-    n_elements = len(offsets) - 1
-    dim = 2**n_qubits
-    matrices = np.empty((n_elements, dim, dim), dtype=complex)
-    matrices[0] = np.eye(dim, dtype=complex)
-    index_by_word: dict[bytes, int] = {packed[0:0].tobytes(): 0}
-    for index in range(1, n_elements):
+    if offsets[0] != 0 or offsets[1] != 0:
+        raise ValidationError("group arrays element 0 must be the identity's empty word")
+    parents = [-1]
+    last_gates = [-1]
+    index_by_word: dict[bytes, int] = {b"": 0}
+    for index in range(1, len(offsets) - 1):
         start, stop = int(offsets[index]), int(offsets[index + 1])
         if stop <= start:
             raise ValidationError(
                 f"group arrays element {index} has an empty word but is not the identity"
             )
-        prefix = packed[start : stop - 1].tobytes()
-        parent = index_by_word.get(prefix)
+        parent = index_by_word.get(packed[start : stop - 1].tobytes())
         if parent is None:
             raise ValidationError(
                 f"group arrays element {index} has no BFS parent for its word prefix"
             )
-        gate_id, q0, q1 = (int(v) for v in packed[stop - 1])
-        generator = gens.get((gate_id, q0, q1))
-        if generator is None:
+        gate = gate_of.get(tuple(int(v) for v in packed[stop - 1]))
+        if gate is None:
             raise ValidationError(
-                f"group arrays element {index} uses unknown generator {(gate_id, q0, q1)}"
+                f"group arrays element {index} uses unknown generator {tuple(packed[stop - 1])}"
             )
-        matrices[index] = generator @ matrices[parent]
+        parents.append(parent)
+        last_gates.append(gate)
         index_by_word[packed[start:stop].tobytes()] = index
-    return matrices
+    return parents, last_gates
 
 
 #: Process-wide group cache (one entry per qubit count).
@@ -470,9 +420,9 @@ def clifford_group(n_qubits: int, store=None) -> CliffordGroup:
         A persistent store selector (``"auto"``, a directory path, a
         :class:`~repro.store.ArtifactStore`, or ``None`` for in-process
         only — see :func:`~repro.store.resolve_store`).  With a store, the
-        enumerated group (words, matrices, tableaux) is loaded from disk
-        when present — skipping the ~2 s two-qubit breadth-first search —
-        and persisted after a cold build.
+        enumerated group (words and tableaux) is loaded from disk when
+        present, skipping the two-qubit breadth-first search, and persisted
+        after a cold build.
 
     Returns
     -------

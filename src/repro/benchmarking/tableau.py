@@ -15,10 +15,11 @@ products and no byte-level matrix hashing.
 
 This module packs each row into a single Python int (bit ``k`` = X on qubit
 ``k``, bit ``n+k`` = Z on qubit ``k``) so a full tableau is ``2n`` small
-ints plus ``2n`` phases, composable in a few dozen bit operations.  The RB
-sequence generator composes tens of thousands of two-qubit elements per
-experiment; the tableau path replaces the 4×4 matrix-product-plus-hash
-lookup of the matrix path (~37 µs/compose) with a handful of native int ops.
+ints plus ``2n`` phases, composable in a few dozen bit operations, and the
+whole tableau packs into one integer key (:func:`tableau_key`).  These keys
+are how :class:`~repro.benchmarking.clifford.CliffordGroup` enumerates,
+composes, inverts and looks up elements; no group arithmetic multiplies
+matrices.
 
 The multiplication rule behind both composition and inversion is
 
@@ -28,12 +29,10 @@ The multiplication rule behind both composition and inversion is
 inverse uses the symplectic relation ``M⁻¹ = J Mᵀ J`` with ``J`` the
 x↔z block swap, followed by one phase back-substitution pass per row.
 
-:class:`CliffordTableauIndex` maps every element of a
-:class:`~repro.benchmarking.clifford.CliffordGroup` to its tableau, keyed by
-a packed integer, giving O(1) ``compose_index`` / ``inverse_index`` without
-touching the element matrices.  Its arrays round-trip through
-:mod:`repro.store` so the enumeration is shared across
-sessions.
+:class:`CliffordTableauIndex` holds the tableau of every group element in
+element-index order, keyed by packed integer, giving O(1)
+``compose_index`` / ``inverse_index``.  Its arrays round-trip through
+:mod:`repro.store` so the enumeration is shared across sessions.
 """
 
 from __future__ import annotations
@@ -248,8 +247,8 @@ def tableau_from_word(
 
 
 @lru_cache(maxsize=2)
-def _pauli_words(n: int) -> list[np.ndarray]:
-    """All ``P(v)`` matrices for ``v`` in 0..4^n-1 (qubit 0 most significant)."""
+def _pauli_words(n: int) -> np.ndarray:
+    """Stack of all ``P(v)`` matrices for ``v`` in 0..4^n-1 (qubit 0 most significant)."""
     eye = np.eye(2, dtype=complex)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -261,7 +260,7 @@ def _pauli_words(n: int) -> list[np.ndarray]:
             x_part = np.kron(x_part, x if (v >> q) & 1 else eye)
             z_part = np.kron(z_part, z if (v >> (n + q)) & 1 else eye)
         words.append(x_part @ z_part)
-    return words
+    return np.array(words)
 
 
 def tableau_from_unitary(u: np.ndarray) -> Tableau:
@@ -290,30 +289,24 @@ def tableau_from_unitary(u: np.ndarray) -> Tableau:
     if u.shape != (dim, dim) or 2**n != dim or n not in (1, 2):
         raise ValidationError(f"expected a 2^n x 2^n unitary with n in (1, 2), got {u.shape}")
     paulis = _pauli_words(n)
-    rows = []
-    phases = []
-    for j in range(2 * n):
-        conj = u @ paulis[1 << j] @ u.conj().T
-        for v in range(1 << (2 * n)):
-            # projection onto P(v): tr(P(v)† conj) / dim
-            scale = np.trace(paulis[v].conj().T @ conj) / dim
-            if abs(abs(scale) - 1.0) < 1e-6:
-                p = int(round(np.angle(scale) / (np.pi / 2))) & 3
-                if np.allclose(conj, (1j**p) * paulis[v], atol=1e-6):
-                    rows.append(v)
-                    phases.append(p)
-                    break
-        else:
-            raise ValidationError("matrix is not a Clifford unitary")
-    return Tableau(n=n, rows=tuple(rows), phases=tuple(phases))
+    images = u @ paulis[[1 << j for j in range(2 * n)]] @ u.conj().T
+    # projections tr(P(v)† image) / dim of every generator image onto every
+    # Pauli word; the words are orthonormal, so a Clifford image has one
+    # projection of modulus 1, on its row, with its phase
+    scales = np.einsum("vab,jab->jv", paulis.conj(), images) / dim
+    rows = np.argmax(np.abs(scales), axis=1)
+    phases = np.round(np.angle(scales[np.arange(2 * n), rows]) / (np.pi / 2)).astype(int) & 3
+    if not np.allclose(images, (1j**phases)[:, None, None] * paulis[rows], atol=1e-6):
+        raise ValidationError("matrix is not a Clifford unitary")
+    return Tableau(n=n, rows=tuple(int(v) for v in rows), phases=tuple(int(p) for p in phases))
 
 
 def tableau_to_unitary_phase_free(tableau: Tableau) -> np.ndarray:
     """Reconstruct a unitary with this tableau (global phase arbitrary).
 
-    Brute-force synthesis via the generator set — intended for tests and
-    diagnostics only (the store keeps element matrices when they are
-    needed).
+    Looks the tableau up in the cached group and returns that element's
+    matrix (replayed from its generator word) — intended for tests and
+    diagnostics.
     """
     from .clifford import clifford_group
 
@@ -325,10 +318,9 @@ def tableau_to_unitary_phase_free(tableau: Tableau) -> np.ndarray:
 class CliffordTableauIndex:
     """Tableau table of a full Clifford group: O(1) integer compose/inverse.
 
-    Built once per group (from each element's generator word, walking the
-    BFS parent chain so every element costs a single tableau composition) or
-    restored from persisted arrays; afterwards ``compose_index`` and
-    ``inverse_index`` are pure integer operations plus one dict lookup.
+    Built by the group's breadth-first enumeration or restored from
+    persisted arrays; afterwards ``compose_index`` and ``inverse_index``
+    are pure integer operations plus one dict lookup.
 
     Parameters
     ----------
@@ -345,35 +337,17 @@ class CliffordTableauIndex:
         if len(self._key_to_index) != len(tableaux):
             raise ValidationError("tableau keys are not unique across the group")
         self._inverse_table: np.ndarray | None = None
+        # The 1q group composes through a 24×24 table: a table read is about
+        # ten times cheaper than one tableau composition, and RB composes
+        # once per sampled Clifford.  A 2q table would need 11520² entries.
+        self._compose_table: list[list[int]] | None = None
+        if n_qubits == 1:
+            size = range(len(tableaux))
+            self._compose_table = [[self._compose(i, j) for j in size] for i in size]
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_group(cls, group) -> "CliffordTableauIndex":
-        """Build the index from a group's generator words.
-
-        BFS construction guarantees each element's word is its parent's word
-        plus one generator, so the tableau of element ``i`` is one
-        composition on top of an already-computed parent tableau.
-        """
-        n = group.n_qubits
-        word_to_tableau: dict[tuple, Tableau] = {(): identity_tableau(n)}
-        tableaux: list[Tableau] = []
-        for i in range(len(group)):
-            word = group.element(i).word
-            tab = word_to_tableau.get(word)
-            if tab is None:
-                parent = word_to_tableau.get(word[:-1])
-                if parent is None:  # non-BFS word: compose from scratch
-                    parent = tableau_from_word(word[:-1], n)
-                    word_to_tableau[word[:-1]] = parent
-                name, qubits = word[-1]
-                tab = tableau_compose(parent, generator_tableau(name, qubits, n))
-                word_to_tableau[word] = tab
-            tableaux.append(tab)
-        return cls(n, tableaux)
-
     @classmethod
     def from_arrays(cls, n_qubits: int, rows: np.ndarray, phases: np.ndarray) -> "CliffordTableauIndex":
         """Rebuild the index from persisted ``(N, 2n)`` row/phase arrays."""
@@ -411,10 +385,15 @@ class CliffordTableauIndex:
         """Element index of a tableau (must belong to the group)."""
         return self.index_of_key(tableau_key(tableau))
 
-    def compose_index(self, first: int, second: int) -> int:
-        """Element index of ``second ∘ first`` — integer arithmetic only."""
+    def _compose(self, first: int, second: int) -> int:
         composed = tableau_compose(self._tableaux[first], self._tableaux[second])
         return self._key_to_index[tableau_key(composed)]
+
+    def compose_index(self, first: int, second: int) -> int:
+        """Element index of ``second ∘ first`` — integer arithmetic only."""
+        if self._compose_table is not None:
+            return self._compose_table[first][second]
+        return self._compose(first, second)
 
     def inverse_index(self, index: int) -> int:
         """Element index of the group inverse (table built on first use)."""

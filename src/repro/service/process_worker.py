@@ -97,8 +97,15 @@ def _maybe_crash(fingerprint: str) -> None:
     os.kill(os.getpid(), sig)
 
 
-def _child_main(conn, environment: dict, store_root: str | None, session_kwargs: dict) -> None:
+def _child_main(
+    conn, parent_end, environment: dict, store_root: str | None, session_kwargs: dict
+) -> None:
     """Subprocess entry point: serve ``run`` requests over the pipe.
+
+    ``parent_end`` is the parent's end of the pipe.  A forked child
+    inherits it and closes it first thing: otherwise the pipe stays open
+    after the parent dies (even by SIGKILL), ``conn.recv()`` never sees
+    EOF and the child is orphaned for good.
 
     Protocol (parent → child): ``("run", spec_dict)`` executes one spec,
     ``("stop",)`` (or EOF) exits cleanly.  Replies (child → parent):
@@ -109,6 +116,7 @@ def _child_main(conn, environment: dict, store_root: str | None, session_kwargs:
     snapshots per worker so pool aggregation (``/healthz`` sessions,
     ``/v1/store/stats`` writes/hits) sees process-mode counters too.
     """
+    parent_end.close()
     _worker_init(environment)
     # imports deferred past _worker_init so REPRO_* knobs (store root,
     # smoke flags, optimizer caps) are in place before module init code runs
@@ -225,7 +233,13 @@ class ProcessSessionWorker:
         parent_conn, child_conn = self._ctx.Pipe()
         self.process = self._ctx.Process(
             target=_child_main,
-            args=(child_conn, _propagated_environment(), self.store_root, self.session_kwargs),
+            args=(
+                child_conn,
+                parent_conn,
+                _propagated_environment(),
+                self.store_root,
+                self.session_kwargs,
+            ),
             name="repro-service-session-worker",
             daemon=True,
         )

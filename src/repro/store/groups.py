@@ -3,7 +3,7 @@
 Group enumerations are backend-independent singletons — one file per qubit
 count — so they skip the manifest machinery: each file's name carries its
 own :data:`GROUP_FORMAT_VERSION` and its presence *is* the manifest.  A
-warm load skips the ~2 s two-qubit breadth-first search entirely; see
+warm load skips the two-qubit breadth-first search; see
 :func:`repro.benchmarking.clifford.clifford_group`.
 """
 
@@ -20,10 +20,10 @@ __all__ = ["GROUP_FORMAT_VERSION", "GroupMixin"]
 
 #: Versions the group-enumeration files independently of the channel
 #: tables (which key on ``STORE_FORMAT_VERSION``), so a change to the
-#: group payload never invalidates channel entries.  v2: slim payload —
-#: generator words + tableaux only; element matrices are re-derived
-#: bit-identically from the words on load.  Readers of the v1 layout
-#: (with embedded matrices) keep their own ``_v1`` files untouched.
+#: group payload never invalidates channel entries.  v2: generator words
+#: and tableaux only; element matrices are derived from the words, on load
+#: exactly as in a cold build.  The version is in the filename, so a
+#: reader never opens another version's file.
 GROUP_FORMAT_VERSION = 2
 
 
@@ -57,7 +57,7 @@ class GroupMixin:
 
         The check-then-write races with other cold processes, so it runs
         under the group's cross-process advisory lock: exactly one writer
-        serializes the ~3 s two-qubit enumeration to disk, the rest observe
+        serializes the two-qubit enumeration to disk, the rest observe
         the finished file.  Returns True when a new file was written.
         """
         path = self._group_path(group.n_qubits)

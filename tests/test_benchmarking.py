@@ -41,6 +41,20 @@ class TestCliffordGroup:
         assert not g.contains(np.diag([1.0, np.exp(0.3j)]))
         element = g.lookup(hadamard())
         assert unitary_overlap_fidelity(element.matrix, hadamard()) == pytest.approx(1.0)
+        # any global phase is accepted
+        assert g.contains(np.exp(0.7j) * hadamard())
+        assert g.lookup(np.exp(-2.1j) * hadamard()).index == element.index
+        # non-Cliffords are rejected
+        t_gate = np.diag([1.0, np.exp(1j * np.pi / 4)])
+        assert not g.contains(t_gate)
+        with pytest.raises(ValidationError):
+            g.lookup(t_gate)
+        # the dimension must be 2**n_qubits (tableau keys do not encode n)
+        g2 = clifford_group(2)
+        for group, wrong in ((g, cx_gate()), (g, np.eye(2, 3)), (g2, hadamard()), (g2, np.eye(2))):
+            assert not group.contains(wrong)
+            with pytest.raises(ValidationError):
+                group.lookup(wrong)
 
     def test_compose_matches_matrix_product(self):
         g = clifford_group(1)

@@ -334,6 +334,50 @@ class TestProcessWorkerIsolation:
             pool.stop()
             queue.close()
 
+    def test_forked_worker_child_exits_when_its_parent_is_killed(self):
+        """A SIGKILLed parent leaves no orphaned worker subprocess: the
+        forked child must not hold the parent's end of its own pipe, or
+        it never sees EOF."""
+        import os
+        import subprocess
+        import sys
+        import time
+
+        from repro.service.cluster import _repro_pythonpath
+
+        helper = (
+            "import time\n"
+            "from repro.service.process_worker import ProcessSessionWorker\n"
+            "worker = ProcessSessionWorker(None, {'num_workers': 1})\n"
+            "print(worker.process.pid, flush=True)\n"
+            "time.sleep(600)\n"
+        )
+        env = dict(os.environ, REPRO_MP_START="fork", PYTHONPATH=_repro_pythonpath())
+        parent = subprocess.Popen(
+            [sys.executable, "-c", helper], stdout=subprocess.PIPE, env=env, text=True
+        )
+        try:
+            child_pid = int(parent.stdout.readline())
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+
+        def alive(pid: int) -> bool:
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    # the state follows the parenthesised command name
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10.0
+        while alive(child_pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        if alive(child_pid):
+            os.kill(child_pid, 9)
+            pytest.fail(f"worker child {child_pid} outlived its killed parent by 10 s")
+
     def test_kill_takeover_with_process_workers(self, tmp_path):
         """The full kill-one-of-N choreography holds in process mode: the
         lease/fencing path is untouched by the execution-mode change."""

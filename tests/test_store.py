@@ -276,6 +276,36 @@ class TestGroupPersistence:
         rebuilt = CliffordGroup.from_arrays(1, store.load_group_arrays(1))
         assert len(rebuilt) == 24
 
+    @pytest.mark.parametrize("tamper", ["duplicate_element", "tableau_mismatch"])
+    def test_tampered_group_file_self_heals(self, store, monkeypatch, tamper):
+        """A file whose words and tableaux disagree, or whose elements repeat, is rebuilt."""
+        import repro.benchmarking.clifford as clifford_module
+
+        arrays = clifford_group(1).to_arrays()
+        words, offsets = arrays["words"], arrays["word_offsets"]
+        rows, phases = arrays["tableau_rows"].copy(), arrays["tableau_phases"].copy()
+        if tamper == "duplicate_element":
+            # the last element becomes a consistent copy of the one before it
+            last_word = words[offsets[-3] : offsets[-2]]
+            arrays["words"] = np.concatenate([words[: offsets[-2]], last_word])
+            arrays["word_offsets"] = np.append(offsets[:-1], offsets[-2] + len(last_word))
+            rows[-1], phases[-1] = rows[-2], phases[-2]
+        else:
+            # distinct tableaux, but two of them swapped against their words
+            rows[[3, 7]], phases[[3, 7]] = rows[[7, 3]], phases[[7, 3]]
+        arrays["tableau_rows"], arrays["tableau_phases"] = rows, phases
+        with pytest.raises(ValidationError):
+            CliffordGroup.from_arrays(1, arrays)
+
+        path = store._group_path(1)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        np.savez(path, **arrays)
+        monkeypatch.setattr(clifford_module, "_GROUP_CACHE", {})  # force a reload
+        healed = clifford_group(1, store=store)
+        assert healed.to_arrays()["tableau_rows"].tobytes() != rows.tobytes()
+        rebuilt = CliffordGroup.from_arrays(1, store.load_group_arrays(1))
+        assert [e.word for e in rebuilt._elements] == [e.word for e in healed._elements]
+
     def test_clifford_group_accessor_persists_via_store(self, store):
         group = clifford_group(1, store=store)
         assert store.load_group_arrays(1) is not None

@@ -7,10 +7,12 @@ Clifford group on random 1q/2q sequences, per the PR acceptance criteria.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.benchmarking.clifford import clifford_group
+from repro.benchmarking.clifford import CliffordGroup, _generator_list, clifford_group
 from repro.benchmarking.rb import _recovery_index
 from repro.benchmarking.tableau import (
     CliffordTableauIndex,
@@ -41,9 +43,9 @@ class TestTableauPrimitives:
         for n in (1, 2):
             assert identity_tableau(n) == tableau_from_unitary(np.eye(2**n))
 
-    def test_generator_tableaux_match_their_unitaries(self, group2):
+    def test_generator_tableaux_match_their_unitaries(self):
         # reuse the group's generator list: names, local qubits and matrices
-        for (name, qubits), matrix in group2._generators():
+        for (name, qubits), matrix in _generator_list(2):
             assert generator_tableau(name, qubits, 2) == tableau_from_unitary(matrix)
 
     def test_word_tableau_matches_element_unitary(self, group1, group2):
@@ -154,3 +156,37 @@ class TestCliffordTableauIndex:
                 int(first), int(second)
             )
             assert rebuilt.inverse_index(int(first)) == index.inverse_index(int(first))
+
+
+#: sha256 of every ``CliffordGroup(n).to_arrays()`` array and of the stacked
+#: element matrices, recorded from the matrix-keyed enumeration this
+#: tableau BFS replaced.  Seeded sampling and persisted group files depend on
+#: the element order, so it must never change silently.
+_PINNED_ENUMERATION = {
+    1: {
+        "words": "6a4b4eeaa7688f6d57f227631c8a0f180781f17dbce84e949828c66871111bf8",
+        "word_offsets": "01974222e6dc71a0f30979b5b0257ca0aa83241fa7121eeabea89246511142a8",
+        "tableau_rows": "731bfc6b35f632d8a487741d2104e39cf0903ce470ae2caca05eda93149dc01d",
+        "tableau_phases": "d3268882ed51df221a661ebccae236688c2c3e9cb7cff288ad86b823a4878972",
+        "matrices": "cde5748a25c55fa1c0e54c640ec126e326bf7f0af742d7d704393d27dc083d1b",
+    },
+    2: {
+        "words": "642f6dd866d3fa0659539b67fbcda0e98baf8cafab6ede474637d27720b9bc0d",
+        "word_offsets": "5b0a3ec9314807e7b188eb3af256dae98226daebb7c553be71346a12fadf09b1",
+        "tableau_rows": "fdfbe3201c3fb72441c0dcbda6eeef974e6e878882800c3d22f7d2242dbc4966",
+        "tableau_phases": "04efb262139b01e39fcec384054ef70fbba6aafecce2711d221e87f0d803cd24",
+        "matrices": "09e09b91018b56a6228bfb57013103a7044f72c99579e10ce2ba94f69823bcc0",
+    },
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fresh_enumeration_matches_pinned_digests(n):
+    group = CliffordGroup(n)
+    arrays = group.to_arrays()
+    arrays["matrices"] = np.stack([group.element(i).matrix for i in range(len(group))])
+    digests = {
+        name: hashlib.sha256(np.ascontiguousarray(arrays[name]).tobytes()).hexdigest()
+        for name in _PINNED_ENUMERATION[n]
+    }
+    assert digests == _PINNED_ENUMERATION[n]
