@@ -21,6 +21,7 @@ paper's optimized pulses replace the backend gates.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +43,26 @@ from ..utils.seeding import default_rng
 from ..utils.validation import ValidationError
 
 __all__ = ["PulseBackend"]
+
+#: Bound on the memo of embedded gate channels: one entry per distinct
+#: (channel content, target qubits, register width).  A stream of
+#: arbitrary-angle ``rz`` gates evicts the least recently used entries.
+_EMBED_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=_EMBED_MEMO_SIZE)
+def _embedded_channel(
+    content: bytes, shape: tuple[int, ...], targets: tuple[int, ...], n_qubits: int
+) -> np.ndarray:
+    """Read-only :func:`embed_channel` of a superoperator given by its bytes.
+
+    Keyed on the channel's content, not its identity, so a drifted
+    calibration snapshot can never hit an entry of the old one.
+    """
+    small = np.frombuffer(content, dtype=complex).reshape(shape)
+    full = np.array(embed_channel(small, targets, n_qubits))
+    full.flags.writeable = False
+    return full
 
 
 class PulseBackend:
@@ -246,7 +267,9 @@ class PulseBackend:
         Returns ``(superoperator, active_qubits)`` where ``active_qubits`` is
         the sorted list of qubits the circuit touches (gates or measurements)
         and the superoperator acts on their computational space with the
-        first active qubit as the most significant factor.
+        first active qubit as the most significant factor.  Each gate
+        channel is embedded into the active register once per distinct
+        content and placement (a bounded, process-wide memo).
         """
         circ = circuit if transpiled else transpile(
             circuit,
@@ -277,8 +300,8 @@ class PulseBackend:
             else:
                 custom = circ.calibrations.get((op.name, gate_qubits))
                 small = self.gate_channel(op.name, gate_qubits, schedule=custom)
-            full = embed_channel(small, local, n)
-            total = full @ total
+            small = np.asarray(small, dtype=complex)
+            total = _embedded_channel(small.tobytes(), small.shape, tuple(local), n) @ total
         return total, active
 
     def run(

@@ -21,6 +21,16 @@ are how :class:`~repro.benchmarking.clifford.CliffordGroup` enumerates,
 composes, inverts and looks up elements; no group arithmetic multiplies
 matrices.
 
+The scalar routines have array twins over ``(N, 2n)`` row/phase arrays:
+:func:`tableau_images` tabulates the image of every Pauli vector through
+each tableau, so composing with a tableau is a gather from its
+``4**n``-entry table, and :func:`tableau_keys` packs keys.  The group's
+breadth-first enumeration, its load-time check and the inverse table run
+on those; the scalar routines stay the reference and serve single
+compositions and lookups.  On a 2-vCPU VM the two-qubit enumeration takes
+≈0.04 s and its inverse table ≈0.01 s, against ≈0.44 s and ≈0.12 s for
+the scalar loops.
+
 The multiplication rule behind both composition and inversion is
 
     ``P(u) · P(w) = (−1)^{u_z · w_x} · P(u ⊕ w)``
@@ -29,8 +39,8 @@ The multiplication rule behind both composition and inversion is
 inverse uses the symplectic relation ``M⁻¹ = J Mᵀ J`` with ``J`` the
 x↔z block swap, followed by one phase back-substitution pass per row.
 
-:class:`CliffordTableauIndex` holds the tableau of every group element in
-element-index order, keyed by packed integer, giving O(1)
+:class:`CliffordTableauIndex` holds the row/phase arrays of every group
+element in element-index order with their sorted packed keys, for integer
 ``compose_index`` / ``inverse_index``.  Its arrays round-trip through
 :mod:`repro.store` so the enumeration is shared across sessions.
 """
@@ -51,6 +61,8 @@ __all__ = [
     "tableau_compose",
     "tableau_inverse",
     "tableau_key",
+    "tableau_images",
+    "tableau_keys",
     "tableau_from_word",
     "tableau_from_unitary",
     "tableau_to_unitary_phase_free",
@@ -236,6 +248,75 @@ def tableau_key(tableau: Tableau) -> int:
     return key
 
 
+#: Parity (popcount mod 2) of every 4-bit value, for the vectorized kernels.
+_PARITY = np.array([bin(v).count("1") & 1 for v in range(16)], dtype=np.uint8)
+
+
+def tableau_images(rows: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Image of every Pauli vector through each of ``N`` tableaux.
+
+    The vectorized form of pushing a Pauli word through a tableau:
+    ``U_i P(v) U_i† = i^{image_phases[i, v]} P(image_rows[i, v])``.  Each
+    vector ``v`` extends ``v`` without its highest set bit ``k`` by row
+    ``k``, the accumulation order of the scalar :func:`tableau_compose`.
+
+    Parameters
+    ----------
+    rows, phases : ndarray
+        ``(N, 2n)`` packed rows and mod-4 phases of the tableaux.
+
+    Returns
+    -------
+    image_rows, image_phases : ndarray
+        ``(N, 4**n)`` uint8 tables indexed by tableau and Pauli vector.
+    """
+    rows = np.asarray(rows, dtype=np.uint8)
+    phases = np.asarray(phases, dtype=np.uint8)
+    n = rows.shape[-1] // 2
+    xmask = (1 << n) - 1
+    image_rows = np.zeros((len(rows), 1 << (2 * n)), dtype=np.uint8)
+    image_phases = np.zeros_like(image_rows)
+    for v in range(1, 1 << (2 * n)):
+        k = v.bit_length() - 1
+        acc_v = image_rows[:, v ^ (1 << k)]
+        sign = _PARITY[(acc_v >> n) & rows[:, k] & xmask]
+        image_rows[:, v] = acc_v ^ rows[:, k]
+        image_phases[:, v] = (image_phases[:, v ^ (1 << k)] + phases[:, k] + 2 * sign) & 3
+    return image_rows, image_phases
+
+
+def tableau_keys(rows: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Packed :func:`tableau_key` of every tableau in ``(..., 2n)`` arrays.
+
+    Parameters
+    ----------
+    rows, phases : ndarray
+        ``(..., 2n)`` packed rows and mod-4 phases.
+
+    Returns
+    -------
+    ndarray
+        int64 keys, shape ``rows.shape[:-1]``.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    phases = np.asarray(phases, dtype=np.int64)
+    n = rows.shape[-1] // 2
+    packed = (rows | (phases << (2 * n))) << (np.arange(2 * n) * (2 * n + 2))
+    return np.bitwise_or.reduce(packed, axis=-1)
+
+
+def _compose_through(rows, phases, image_rows, image_phases, second):
+    """Vectorized ``tableau_compose(first, tableaux[second])``.
+
+    ``rows``/``phases`` are the ``(..., 2n)`` arrays of the first tableaux,
+    ``image_rows``/``image_phases`` the :func:`tableau_images` of the second
+    ones and ``second`` their positions, broadcast against
+    ``rows.shape[:-1]``.  Returns the composed rows and phases.
+    """
+    select = np.asarray(second)[..., None]
+    return image_rows[select, rows], (phases + image_phases[select, rows]) & 3
+
+
 def tableau_from_word(
     word: tuple[tuple[str, tuple[int, ...]], ...], n: int
 ) -> Tableau:
@@ -316,25 +397,50 @@ def tableau_to_unitary_phase_free(tableau: Tableau) -> np.ndarray:
 
 
 class CliffordTableauIndex:
-    """Tableau table of a full Clifford group: O(1) integer compose/inverse.
+    """Tableau table of a full Clifford group: integer compose/inverse.
 
-    Built by the group's breadth-first enumeration or restored from
-    persisted arrays; afterwards ``compose_index`` and ``inverse_index``
-    are pure integer operations plus one dict lookup.
+    Holds every element's tableau as ``(N, 2n)`` row/phase arrays in
+    element-index order, with their packed keys sorted for lookup.
+    ``compose_index`` is one scalar tableau composition (a table read for
+    one qubit) and ``inverse_index`` a read of a table built in one
+    vectorized pass on first use.
 
     Parameters
     ----------
     n_qubits : int
         Number of qubits of the group.
-    tableaux : list of Tableau
-        Tableau of every group element, in element-index order.
+    rows, phases : ndarray
+        ``(N, 2n)`` packed rows and mod-4 phases of every element, in
+        element-index order (as persisted by :mod:`repro.store`).
+
+    Raises
+    ------
+    ValidationError
+        If a row is out of range, a phase breaks the Hermiticity parity or
+        two elements share a tableau.
     """
 
-    def __init__(self, n_qubits: int, tableaux: list[Tableau]):
+    def __init__(self, n_qubits: int, rows: np.ndarray, phases: np.ndarray):
+        rows = np.asarray(rows)
+        phases = np.asarray(phases)
+        if rows.ndim != 2 or rows.shape != phases.shape or rows.shape[1] != 2 * n_qubits:
+            raise ValidationError(
+                f"tableau arrays need shape (N, {2 * n_qubits}), got {rows.shape}/{phases.shape}"
+            )
+        rows_ok = np.all((rows >= 0) & (rows < 1 << (2 * n_qubits)))
+        if not (rows_ok and np.all((phases >= 0) & (phases < 4))):
+            raise ValidationError(f"tableau row or phase out of range for n={n_qubits}")
         self.n_qubits = n_qubits
-        self._tableaux = tableaux
-        self._key_to_index = {tableau_key(t): i for i, t in enumerate(tableaux)}
-        if len(self._key_to_index) != len(tableaux):
+        self._rows = rows.astype(np.uint8)
+        self._phases = phases.astype(np.uint8)
+        # Hermiticity of i^p P(v) requires p ≡ popcount(x & z) (mod 2)
+        xmask = (1 << n_qubits) - 1
+        if np.any((self._phases ^ _PARITY[self._rows & xmask & (self._rows >> n_qubits)]) & 1):
+            raise ValidationError("a tableau phase violates the Hermiticity parity of its row")
+        keys = tableau_keys(self._rows, self._phases)
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted_keys = keys[self._order]
+        if np.any(self._sorted_keys[1:] == self._sorted_keys[:-1]):
             raise ValidationError("tableau keys are not unique across the group")
         self._inverse_table: np.ndarray | None = None
         # The 1q group composes through a 24×24 table: a table read is about
@@ -342,66 +448,81 @@ class CliffordTableauIndex:
         # once per sampled Clifford.  A 2q table would need 11520² entries.
         self._compose_table: list[list[int]] | None = None
         if n_qubits == 1:
-            size = range(len(tableaux))
-            self._compose_table = [[self._compose(i, j) for j in size] for i in size]
-
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_arrays(cls, n_qubits: int, rows: np.ndarray, phases: np.ndarray) -> "CliffordTableauIndex":
-        """Rebuild the index from persisted ``(N, 2n)`` row/phase arrays."""
-        tableaux = [
-            Tableau(n=n_qubits, rows=tuple(int(v) for v in r), phases=tuple(int(p) for p in ph))
-            for r, ph in zip(rows, phases)
-        ]
-        return cls(n_qubits, tableaux)
+            composed = _compose_through(
+                self._rows[:, None],
+                self._phases[:, None],
+                *tableau_images(self._rows, self._phases),
+                np.arange(len(keys))[None, :],
+            )
+            self._compose_table = self._indices_of_keys(tableau_keys(*composed)).tolist()
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows and phases as ``(N, 2n)`` uint8 arrays (for the store)."""
-        rows = np.array([t.rows for t in self._tableaux], dtype=np.uint8)
-        phases = np.array([t.phases for t in self._tableaux], dtype=np.uint8)
-        return rows, phases
+        return self._rows.copy(), self._phases.copy()
 
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         """Number of group elements indexed."""
-        return len(self._tableaux)
+        return len(self._rows)
 
     def tableau(self, index: int) -> Tableau:
         """Tableau of the element at ``index``."""
-        return self._tableaux[index]
+        return Tableau(
+            n=self.n_qubits,
+            rows=tuple(self._rows[index].tolist()),
+            phases=tuple(self._phases[index].tolist()),
+        )
+
+    def _indices_of_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Element indices of packed tableau keys (any shape)."""
+        positions = np.minimum(np.searchsorted(self._sorted_keys, keys), len(self._rows) - 1)
+        if not np.array_equal(self._sorted_keys[positions], keys):
+            raise ValidationError("tableau key is not an element of the group")
+        return self._order[positions]
 
     def index_of_key(self, key: int) -> int:
         """Element index of a packed tableau key."""
-        index = self._key_to_index.get(key)
-        if index is None:
-            raise ValidationError("tableau key is not an element of the group")
-        return index
+        return int(self._indices_of_keys(np.int64(key)))
 
     def index_of_tableau(self, tableau: Tableau) -> int:
         """Element index of a tableau (must belong to the group)."""
         return self.index_of_key(tableau_key(tableau))
 
-    def _compose(self, first: int, second: int) -> int:
-        composed = tableau_compose(self._tableaux[first], self._tableaux[second])
-        return self._key_to_index[tableau_key(composed)]
-
     def compose_index(self, first: int, second: int) -> int:
         """Element index of ``second ∘ first`` — integer arithmetic only."""
         if self._compose_table is not None:
             return self._compose_table[first][second]
-        return self._compose(first, second)
+        return self.index_of_tableau(tableau_compose(self.tableau(first), self.tableau(second)))
 
     def inverse_index(self, index: int) -> int:
         """Element index of the group inverse (table built on first use)."""
         table = self._inverse_table
         if table is None:
-            table = np.array(
-                [self._key_to_index[tableau_key(tableau_inverse(t))] for t in self._tableaux],
-                dtype=np.int32,
-            )
-            self._inverse_table = table
+            table = self._inverse_table = self._build_inverse_table()
         return int(table[index])
+
+    def _build_inverse_table(self) -> np.ndarray:
+        """Inverse of every element in one pass, as :func:`tableau_inverse`.
+
+        The rows come from the symplectic transpose ``J Mᵀ J`` by bit
+        operations; pushing them back through the element gives the bare
+        generators times ``i^p``, and the inverse phases are ``-p``.
+        """
+        n = self.n_qubits
+        two_n = 2 * n
+        bits = (self._rows[:, :, None] >> np.arange(two_n, dtype=np.uint8)) & 1
+        swap = np.roll(np.arange(two_n), -n)  # x <-> z block swap J
+        inverse_bits = bits[:, swap][:, :, swap].transpose(0, 2, 1)
+        inverse_rows = (inverse_bits << np.arange(two_n, dtype=np.uint8)).sum(axis=-1, dtype=np.uint8)
+        back_rows, back_phases = _compose_through(
+            inverse_rows,
+            np.zeros_like(inverse_rows),
+            *tableau_images(self._rows, self._phases),
+            np.arange(len(self._rows)),
+        )
+        if np.any(back_rows != 1 << np.arange(two_n)):  # pragma: no cover - guards invalid tableaux
+            raise ValidationError("tableau is not symplectic; cannot invert")
+        inverse_keys = tableau_keys(inverse_rows, (4 - back_phases) & 3)
+        return self._indices_of_keys(inverse_keys).astype(np.int32)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.backend import PulseBackend, Result, SimulationOptions, depolarizing_superop
+from repro.backend import backend as backend_module
 from repro.backend.noise import apply_readout_error, embed_channel, readout_confusion_matrix
 from repro.circuits import QuantumCircuit
 from repro.devices import QubitProperties, fake_montreal
@@ -226,3 +227,49 @@ class TestBackendExecution:
         chan, active = backend.circuit_channel(qc)
         assert active == [0]
         assert np.allclose(chan, np.eye(4), atol=1e-12)
+
+
+class TestEmbedMemo:
+    """``circuit_channel`` embeds each distinct gate channel once, by content."""
+
+    def test_memoized_embedding_equals_uncached_and_is_read_only(self, backend):
+        small = np.ascontiguousarray(backend.gate_channel("cx", (0, 1)))
+        memo = backend_module._embedded_channel(small.tobytes(), small.shape, (1, 0), 3)
+        assert memo.tobytes() == embed_channel(small, [1, 0], 3).tobytes()
+        assert not memo.flags.writeable
+        with pytest.raises(ValueError):
+            memo[0, 0] = 0.0
+        # a full-register channel is copied, never handed back writable
+        whole = backend_module._embedded_channel(small.tobytes(), small.shape, (0, 1), 2)
+        assert whole.tobytes() == small.tobytes() and not whole.flags.writeable
+
+    def test_changed_entry_yields_a_fresh_embedding(self):
+        small = unitary_superop(sx_gate())
+        first = backend_module._embedded_channel(small.tobytes(), small.shape, (0,), 2)
+        drifted = small.copy()
+        drifted[1, 2] += 1e-9
+        second = backend_module._embedded_channel(drifted.tobytes(), drifted.shape, (0,), 2)
+        assert second.tobytes() == embed_channel(drifted, [0], 2).tobytes()
+        assert second.tobytes() != first.tobytes()
+
+    def test_targets_never_share_an_entry(self):
+        small = unitary_superop(x_gate())
+        on_0 = backend_module._embedded_channel(small.tobytes(), small.shape, (0,), 2)
+        on_1 = backend_module._embedded_channel(small.tobytes(), small.shape, (1,), 2)
+        assert on_0.tobytes() == embed_channel(small, [0], 2).tobytes()
+        assert on_1.tobytes() == embed_channel(small, [1], 2).tobytes()
+        assert not np.allclose(on_0, on_1)
+
+    def test_memo_stays_bounded_under_arbitrary_rz_angles(self, backend):
+        backend_module._embedded_channel.cache_clear()
+        angles = np.random.default_rng(5).uniform(0, 2 * np.pi, backend_module._EMBED_MEMO_SIZE + 40)
+        for angle in angles:
+            qc = QuantumCircuit(2, 2)
+            qc.rz(float(angle), 0)
+            qc.x(1)
+            qc.measure(0, 0)
+            qc.measure(1, 1)
+            backend.run(qc, shots=8, seed=0)
+        info = backend_module._embedded_channel.cache_info()
+        assert info.currsize == backend_module._EMBED_MEMO_SIZE
+        assert info.misses >= len(angles)

@@ -276,9 +276,12 @@ class TestGroupPersistence:
         rebuilt = CliffordGroup.from_arrays(1, store.load_group_arrays(1))
         assert len(rebuilt) == 24
 
-    @pytest.mark.parametrize("tamper", ["duplicate_element", "tableau_mismatch"])
+    @pytest.mark.parametrize(
+        "tamper", ["duplicate_element", "tableau_mismatch", "phase_parity", "row_out_of_range"]
+    )
     def test_tampered_group_file_self_heals(self, store, monkeypatch, tamper):
-        """A file whose words and tableaux disagree, or whose elements repeat, is rebuilt."""
+        """A file whose words and tableaux disagree, whose elements repeat, or
+        whose tableaux are not Pauli images, is rebuilt."""
         import repro.benchmarking.clifford as clifford_module
 
         arrays = clifford_group(1).to_arrays()
@@ -290,9 +293,14 @@ class TestGroupPersistence:
             arrays["words"] = np.concatenate([words[: offsets[-2]], last_word])
             arrays["word_offsets"] = np.append(offsets[:-1], offsets[-2] + len(last_word))
             rows[-1], phases[-1] = rows[-2], phases[-2]
-        else:
+        elif tamper == "tableau_mismatch":
             # distinct tableaux, but two of them swapped against their words
             rows[[3, 7]], phases[[3, 7]] = rows[[7, 3]], phases[[7, 3]]
+        elif tamper == "phase_parity":
+            # i^p P(v) is Hermitian only for p ≡ popcount(x & z) (mod 2)
+            phases[5, 0] ^= 1
+        else:
+            rows[5, 1] = 4  # one qubit has 2-bit rows
         arrays["tableau_rows"], arrays["tableau_phases"] = rows, phases
         with pytest.raises(ValidationError):
             CliffordGroup.from_arrays(1, arrays)
@@ -302,7 +310,9 @@ class TestGroupPersistence:
         np.savez(path, **arrays)
         monkeypatch.setattr(clifford_module, "_GROUP_CACHE", {})  # force a reload
         healed = clifford_group(1, store=store)
-        assert healed.to_arrays()["tableau_rows"].tobytes() != rows.tobytes()
+        fresh = CliffordGroup(1).to_arrays()
+        for name, array in healed.to_arrays().items():
+            assert array.tobytes() == fresh[name].tobytes()
         rebuilt = CliffordGroup.from_arrays(1, store.load_group_arrays(1))
         assert [e.word for e in rebuilt._elements] == [e.word for e in healed._elements]
 

@@ -12,18 +12,21 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.benchmarking.clifford import CliffordGroup, _generator_list, clifford_group
+from repro.benchmarking.clifford import CliffordGroup, _bfs_tree, _generator_list, clifford_group
 from repro.benchmarking.rb import _recovery_index
 from repro.benchmarking.tableau import (
     CliffordTableauIndex,
     Tableau,
+    _push_through,
     generator_tableau,
     identity_tableau,
     tableau_compose,
     tableau_from_unitary,
     tableau_from_word,
+    tableau_images,
     tableau_inverse,
     tableau_key,
+    tableau_keys,
 )
 from repro.utils.validation import ValidationError
 
@@ -148,7 +151,7 @@ class TestCliffordTableauIndex:
     def test_from_arrays_round_trip(self, group2):
         index = group2.tableau_index()
         rows, phases = index.to_arrays()
-        rebuilt = CliffordTableauIndex.from_arrays(2, rows, phases)
+        rebuilt = CliffordTableauIndex(2, rows, phases)
         assert len(rebuilt) == len(index)
         rng = np.random.default_rng(66)
         for first, second in rng.integers(0, len(group2), size=(20, 2)):
@@ -156,6 +159,54 @@ class TestCliffordTableauIndex:
                 int(first), int(second)
             )
             assert rebuilt.inverse_index(int(first)) == index.inverse_index(int(first))
+
+
+class TestVectorizedKernels:
+    """The array kernels against their scalar references, on every element."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_image_tables_match_push_through(self, n, group1, group2):
+        index = (group1 if n == 1 else group2).tableau_index()
+        image_rows, image_phases = tableau_images(*index.to_arrays())
+        for i in range(len(index)):
+            tableau = index.tableau(i)
+            expected = [_push_through(v, tableau) for v in range(4**n)]
+            assert list(zip(image_rows[i].tolist(), image_phases[i].tolist())) == expected
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_keys_match_scalar_keys(self, n, group1, group2):
+        index = (group1 if n == 1 else group2).tableau_index()
+        keys = tableau_keys(*index.to_arrays())
+        assert keys.tolist() == [tableau_key(index.tableau(i)) for i in range(len(index))]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_inverse_table_matches_scalar_inverse(self, n):
+        # a fresh index, so the table is built here by the vectorized pass
+        index = CliffordTableauIndex(n, *clifford_group(n).tableau_index().to_arrays())
+        for i in range(len(index)):
+            expected = index.index_of_tableau(tableau_inverse(index.tableau(i)))
+            assert index.inverse_index(i) == expected
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bfs_tree_matches_sequential_reference(self, n):
+        # one tableau at a time off a queue: parents in discovery order,
+        # generators in list order, first discovery wins
+        generators = [generator_tableau(name, qubits, n) for (name, qubits), _ in _generator_list(n)]
+        tableaux, parents, last_gates = [identity_tableau(n)], [-1], [-1]
+        seen = {tableau_key(tableaux[0])}
+        for parent, tableau in enumerate(tableaux):
+            for gate, generator in enumerate(generators):
+                child = tableau_compose(tableau, generator)
+                if tableau_key(child) not in seen:
+                    seen.add(tableau_key(child))
+                    tableaux.append(child)
+                    parents.append(parent)
+                    last_gates.append(gate)
+        arrays = CliffordGroup(n).to_arrays()
+        tree = _bfs_tree(n, arrays["words"], arrays["word_offsets"])
+        assert [t.tolist() for t in tree] == [parents, last_gates]
+        assert arrays["tableau_rows"].tolist() == [list(t.rows) for t in tableaux]
+        assert arrays["tableau_phases"].tolist() == [list(t.phases) for t in tableaux]
 
 
 #: sha256 of every ``CliffordGroup(n).to_arrays()`` array and of the stacked
