@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grape import _pre_step_stack
+from .grape import _einsum, _pre_step_stack
 from ..qobj.qobj import qobj_to_array
 from ..solvers.expm_utils import hermitian_eig_batch, loewner_gamma_batch
 from ..solvers.propagator import assemble_pwc_hamiltonians, pwc_cumulative_propagators
@@ -156,14 +156,12 @@ class StackedClosedEvaluator:
             v = evecs
             v_dag = np.conj(np.swapaxes(v, -1, -2))
             gamma = loewner_gamma_batch(evals, self.dt)
-            p = np.einsum("kya,jyz,kzb->jkab", v.conj(), self.ctrl_stack, v, optimize=True)
+            p = _einsum("kya,jyz,kzb->jkab", v.conj(), self.ctrl_stack, v)
             w = np.matmul(v_dag, np.matmul(m_stack, v))
-            df_all = np.einsum("jkab,kab,kba->jk", p, gamma, w, optimize=True) / self.d
+            df_all = _einsum("jkab,kab,kba->jk", p, gamma, w) / self.d
         else:
             um = np.matmul(steps, m_stack)
-            df_all = (-1j * self.dt) * np.einsum(
-                "jab,kba->jk", self.ctrl_stack, um, optimize=True
-            ) / self.d
+            df_all = (-1j * self.dt) * _einsum("jab,kba->jk", self.ctrl_stack, um) / self.d
         if self.phase_option == "PSU":
             cost = 1.0 - abs(f) ** 2
             grad = -2.0 * np.real(np.conj(f) * df_all)

@@ -11,11 +11,14 @@ experiments.
 
 The planner is deliberately **pure**: :func:`plan_specs` inspects spec
 fields only — it builds nothing, imports no backend, and runs in
-microseconds.  It emits dependency-ordered :class:`PrepStep` descriptors
+microseconds.  It emits build-ordered :class:`PrepStep` descriptors
 keyed by content (device name, qubit tuple, GRAPE-spec fingerprint), each
 listing its consumer specs; the session executes each step exactly once
 (guarded by per-key locks for concurrent ``submit()``) before fanning the
-experiments out.
+experiments out.  The plan is wired, not run: the session decides where
+each step runs.  It sends the ``grape`` and ``grape_batch`` steps to its
+process pool, largest first, and builds the rest on its own thread
+meanwhile; a spec that needs a pulse waits only for its own step.
 
 With a ``store`` attached the planner is additionally **cache-aware**:
 specs whose result is already in the store's ``results`` namespace (keyed
@@ -28,10 +31,9 @@ at per-point granularity this way).  The cache probe reads device
 properties through :func:`repro.devices.library.get_device` — static
 calibration data, no backend is built.
 
-Step kinds, in build order:
+Step kinds, in build order (:attr:`SessionPlan.steps`; the GRAPE steps
+largest first):
 
-``group``
-    Enumerate (or load from the store) the n-qubit Clifford group.
 ``backend``
     Instantiate the device's :class:`~repro.backend.backend.PulseBackend`.
 ``grape_batch``
@@ -41,7 +43,10 @@ Step kinds, in build order:
     :mod:`repro.core.grape_batch`); bit-identical to the per-point path,
     gated by ``$REPRO_GRAPE_BATCH`` / ``plan_specs(batch_grape=...)``.
 ``grape``
-    Run one pulse optimization and lower it to a schedule.
+    Run one pulse optimization (on the session's process pool) and lower
+    it to a schedule.
+``group``
+    Enumerate (or load from the store) the n-qubit Clifford group.
 ``table``
     Build the per-Clifford channel table of one (device, qubit-tuple),
     covering the union of element indices every consumer's sequences
@@ -73,11 +78,11 @@ GRAPE_BATCH_ENV = "REPRO_GRAPE_BATCH"
 
 _FALSY = {"0", "false", "no", "off"}
 
-#: Build order of preparation kinds (dependencies point left).  A
-#: ``grape_batch`` step precedes the per-point ``grape`` steps of its
-#: members so the stacked pass registers their artifacts first; the solo
-#: steps then find them already built.
-_KIND_ORDER = ("group", "backend", "grape_batch", "grape", "table")
+#: Build phase of each preparation kind.  Backends go first: a GRAPE step
+#: needs its device's properties.  The GRAPE steps, which a session runs on
+#: its process pool, go next, so the pool starts before the session builds
+#: the groups and tables on its own thread.
+_KIND_PHASE = {"backend": 0, "grape_batch": 1, "grape": 1, "group": 2, "table": 3}
 
 
 def grape_batching_enabled(flag: bool | None = None) -> bool:
@@ -393,9 +398,9 @@ def plan_specs(specs, store=None, properties_fingerprint=None, batch_grape=None)
     Returns
     -------
     SessionPlan
-        Unique steps in dependency order (groups, then backends, then
-        GRAPE optimizations, then channel tables), each annotated with its
-        consumer specs.
+        Unique steps in build order (backends, then GRAPE optimizations,
+        largest first, then groups, then channel tables), each annotated
+        with its consumer specs.
     """
     flat = expand_specs(specs)
     cached: list[int] = []
@@ -423,8 +428,35 @@ def plan_specs(specs, store=None, properties_fingerprint=None, batch_grape=None)
             consumers.setdefault(step.key, []).append(position)
     if grape_batching_enabled(batch_grape):
         _grape_batch_steps(by_key, consumers)
-    ordered = sorted(
-        by_key.values(),
-        key=lambda s: (_KIND_ORDER.index(s.kind), s.key),
-    )
+    ordered = sorted(by_key.values(), key=_build_order)
     return SessionPlan(specs=flat, steps=ordered, consumers=consumers, cached=cached)
+
+
+def _grape_cost(spec) -> int:
+    """Rough work of one pulse optimization, to start the largest first.
+
+    One cost evaluation multiplies ``n_ts`` propagators of dimension
+    ``levels**n_qubits`` — superoperators, of squared dimension, when the
+    model is open — so it scales as ``n_ts * dim**3``.
+    """
+    dim = spec.optimizer_levels ** len(spec.qubits)
+    if spec.include_decoherence:
+        dim *= dim
+    return spec.n_ts * dim**3
+
+
+def _build_order(step: PrepStep) -> tuple:
+    """Sort key of a plan step: its kind's phase, then the largest GRAPE first.
+
+    The longest optimization then starts at once.  A ``grape_batch`` step
+    costs its members' sum, so it precedes the per-point ``grape`` steps of
+    its members: the stacked pass registers their artifacts first, and the
+    solo steps find them already built.
+    """
+    if step.kind == "grape":
+        cost = _grape_cost(step.payload)
+    elif step.kind == "grape_batch":
+        cost = sum(_grape_cost(spec) for spec in step.payload)
+    else:
+        cost = 0
+    return (_KIND_PHASE[step.kind], -cost, step.key)

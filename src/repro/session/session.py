@@ -24,7 +24,10 @@ Clifford channel store, and the process-pool fan-out — and executes
 :mod:`repro.session.planner`): shared preparation — the Clifford group,
 the device backend, the GRAPE pulse nested by ``custom``, and the
 per-Clifford channel table both IRB curves replay — is built exactly
-once, then execution fans out.  ``submit(spec)`` returns a
+once, then execution fans out.  Cold GRAPE optimizations run on the
+process pool of :mod:`repro.utils.parallel` while the calling thread
+builds the rest, and a spec waits only for the pulse it needs.
+``submit(spec)`` returns a
 :class:`~concurrent.futures.Future` immediately; concurrent submits of
 overlapping specs coordinate through per-artifact locks, so a shared
 channel table is still built (and persisted) exactly once — observable
@@ -50,6 +53,7 @@ computed (all randomness flows from per-spec seeds).
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
@@ -63,7 +67,7 @@ from .planner import SessionPlan, plan_specs, prep_steps_for
 from .results import ExperimentResult
 from .specs import ExperimentSpec, GRAPESpec, OptimizerSpec
 from ..obs import ShadowSampler, Trace, resolve_trace_sink
-from ..utils.parallel import start_pool
+from ..utils.parallel import pool_submit, start_pool
 from ..utils.validation import ValidationError
 
 __all__ = ["Session"]
@@ -176,6 +180,9 @@ class Session:
         )
         self._closed = False
         #: Wall-clock seconds spent building each prep key (observability).
+        #: A GRAPE key counts its optimization's own wall time, measured in
+        #: the pool worker that ran it, plus publishing and lowering it
+        #: here; a ``grape_batch`` key counts its stacked optimization.
         self.prep_timings: dict[tuple, float] = {}
         #: Per-session counters: ``cache_hits`` / ``cache_misses`` (result
         #: cache consultations), ``executions`` (specs actually executed)
@@ -349,7 +356,17 @@ class Session:
     # preparation
     # ------------------------------------------------------------------ #
     def _build_plan(self, plan: SessionPlan) -> None:
-        """Build every plan step exactly once, in dependency order.
+        """Build every plan step exactly once; GRAPE runs on the pool.
+
+        Steps go in plan order: the backends, then every ``grape`` and
+        ``grape_batch`` step, largest problem first, then the groups and
+        tables.  A cold GRAPE step is sent to the persistent process pool
+        and registered as a pending artifact, so this thread builds the
+        groups and tables while the pool optimizes.  The method returns
+        without waiting for a pulse: a spec that needs one waits for its
+        own key when it executes (:meth:`_grape_artifact`).  At
+        ``num_workers=1`` each optimization runs inline when it is
+        dispatched.
 
         The ``table`` steps cover the **union** of element indices used by
         every consumer spec, so per-experiment flushes afterwards find
@@ -360,15 +377,20 @@ class Session:
             self._build_step(step, consumers)
 
     def _build_step(self, step, consumers: Sequence[ExperimentSpec]):
-        """Build one plan step through the exactly-once artifact registry."""
+        """Build one plan step through the exactly-once artifact registry.
+
+        A ``grape`` step returns its registry entry, which is a
+        :class:`_PendingArtifact` while the pool still optimizes; a
+        ``grape_batch`` step returns one entry per member.
+        """
         if step.kind == "group":
             return self._group_artifact(step.key[1])
         if step.kind == "backend":
             return self.backend_for(step.key[1])
         if step.kind == "grape":
-            return self._grape_artifact(step.payload)
+            return self._pulse_entry(step.payload)
         if step.kind == "grape_batch":
-            return self._grape_batch_artifact(step.payload)
+            return self._grape_batch_entries(step.payload)
         if step.kind == "table":
             return self._table_artifact(step.key, consumers)
         raise ValidationError(f"unknown preparation kind {step.kind!r}")
@@ -394,9 +416,7 @@ class Session:
             if used:
                 start = time.perf_counter()
                 table.ensure(used)
-                self.prep_timings[key] = self.prep_timings.get(key, 0.0) + (
-                    time.perf_counter() - start
-                )
+                self._add_timing(key, time.perf_counter() - start)
         return table
 
     def _artifact(self, key: tuple, builder):
@@ -406,6 +426,16 @@ class Session:
         ``submit()`` calls that need the same artifact coordinate: the
         first builds, the rest block until it is registered, nobody builds
         twice.  Build wall-clocks are recorded in :attr:`prep_timings`.
+        A pending entry (see :meth:`_register`) is waited for.
+        """
+        return _resolved(self._register(key, builder))
+
+    def _register(self, key: tuple, builder):
+        """The registry entry of one prep key, built exactly once under a lock.
+
+        Like :meth:`_artifact`, but a builder may return a
+        :class:`_PendingArtifact`, and that entry is returned as it is; its
+        own ``finish`` records its timing.
         """
         artifact = self._artifacts.get(key)
         if artifact is not None:
@@ -417,9 +447,8 @@ class Session:
             if artifact is None:
                 start = time.perf_counter()
                 artifact = builder()
-                self.prep_timings[key] = self.prep_timings.get(key, 0.0) + (
-                    time.perf_counter() - start
-                )
+                if not isinstance(artifact, _PendingArtifact):
+                    self._add_timing(key, time.perf_counter() - start)
                 self._artifacts[key] = artifact
                 self._bump_stat("prep_builds")
         return artifact
@@ -437,6 +466,14 @@ class Session:
     def _grape_artifact(self, spec):
         """(OptimResult, Schedule) of a pulse spec, built exactly once.
 
+        Waits for the optimization when the pool still runs it; see
+        :meth:`_pulse_entry`.
+        """
+        return _resolved(self._pulse_entry(spec))
+
+    def _pulse_entry(self, spec):
+        """The registry entry of a pulse spec, dispatching its optimization.
+
         Accepts a :class:`GRAPESpec` or an :class:`OptimizerSpec`; the
         spec is normalized through ``canonical_pulse_spec()`` first, so
         ``OptimizerSpec(method="lbfgs")`` and the equivalent legacy
@@ -452,94 +489,131 @@ class Session:
         amplitudes).  Cold builds always publish, so even a
         ``result_cache=False`` baseline run warms the pulse store for
         subsequent sessions.
+
+        A cold optimization runs on the persistent process pool
+        (:func:`~repro.utils.parallel.pool_submit`), and the entry is a
+        :class:`_PendingArtifact` until its first reader finishes it: the
+        pulse is published and lowered to a schedule in this process.
         """
         if not isinstance(spec, (GRAPESpec, OptimizerSpec)):
             raise ValidationError("pulse preparation expects a GRAPESpec or OptimizerSpec")
         spec = spec.canonical_pulse_spec()
+        key = ("grape", spec.fingerprint())
 
         def build():
-            from ..experiments.gates import optimize_gate_pulse, pulse_schedule_from_result
+            from ..experiments.gates import pulse_schedule_from_result
 
             backend = self.backend_for(spec.device)
             config = spec.gate_config()
-            optimization = None
-            pulse_key = None
-            if self.store is not None:
-                pulse_key = self.store.pulse_key(
-                    spec.cache_fingerprint(), self.properties_fingerprint_for(spec.device)
-                )
-                if self.result_cache:
-                    optimization = self.store.load_pulse(pulse_key)
-            if optimization is None:
-                optimization = optimize_gate_pulse(
-                    backend.properties, config, method_options=spec.method_options() or None
-                )
-                if pulse_key is not None:
-                    self.store.save_pulse(
-                        pulse_key,
-                        optimization,
-                        metadata={"device": _canonical(spec.device), "gate": spec.gate},
-                    )
-            schedule = pulse_schedule_from_result(backend.properties, config, optimization)
-            return optimization, schedule
+            optimization = self._stored_pulse(spec)
+            if optimization is not None:
+                schedule = pulse_schedule_from_result(backend.properties, config, optimization)
+                return optimization, schedule
+            call = pool_submit(
+                _optimize_pulse,
+                backend.properties,
+                config,
+                spec.method_options() or None,
+                num_workers=self.num_workers,
+            )
 
-        return self._artifact(("grape", spec.fingerprint()), build)
+            def optimize():
+                optimization = call.result()
+                self._add_timing(key, call.seconds)
+                return optimization
 
-    def _grape_batch_artifact(self, specs: Sequence[GRAPESpec]):
-        """Build a batchable GRAPE group, stacking the cold points.
+            return self._pending_pulse(key, spec, config, optimize)
+
+        return self._register(key, build)
+
+    def _stored_pulse(self, spec):
+        """The persisted optimization of a pulse spec (``None`` on a miss or when off)."""
+        if self.store is None or not self.result_cache:
+            return None
+        return self.store.load_pulse(self._pulse_key(spec))
+
+    def _pulse_key(self, spec) -> str:
+        return self.store.pulse_key(
+            spec.cache_fingerprint(), self.properties_fingerprint_for(spec.device)
+        )
+
+    def _pending_pulse(self, key: tuple, spec, config, optimize) -> "_PendingArtifact":
+        """A pending ``grape`` entry: ``optimize()`` waits for the pool's result.
+
+        Its first reader publishes the pulse to the store (when one is
+        attached) and lowers it to a schedule, once.  The pulse key and the
+        device properties are read now, with the optimization's inputs, so
+        a properties snapshot swapped in meanwhile cannot mix into them.
+        """
+        from ..experiments.gates import pulse_schedule_from_result
+
+        properties = self.backend_for(spec.device).properties
+        pulse_key = self._pulse_key(spec) if self.store is not None else None
+
+        def finish():
+            optimization = optimize()
+            start = time.perf_counter()
+            if pulse_key is not None:
+                self.store.save_pulse(
+                    pulse_key,
+                    optimization,
+                    metadata={"device": _canonical(spec.device), "gate": spec.gate},
+                )
+            pair = optimization, pulse_schedule_from_result(properties, config, optimization)
+            self._add_timing(key, time.perf_counter() - start)
+            return pair
+
+        return _PendingArtifact(finish)
+
+    def _add_timing(self, key: tuple, seconds: float) -> None:
+        """Add build seconds to one key of :attr:`prep_timings` (thread-safe)."""
+        with self._stats_lock:
+            self.prep_timings[key] = self.prep_timings.get(key, 0.0) + seconds
+
+    def _grape_batch_entries(self, specs: Sequence[GRAPESpec]) -> list:
+        """Dispatch a batchable GRAPE group, stacking the cold points.
 
         Warm points — already in the artifact registry, or loadable from
         the store's ``pulses`` namespace — resolve through the ordinary
-        per-point :meth:`_grape_artifact` path (no optimizer runs).  The
+        per-point :meth:`_pulse_entry` path (no optimizer runs).  The
         remaining cold points are optimized in **one** cross-point stacked
-        pass (:func:`~repro.experiments.gates.optimize_gate_pulse_batch`,
-        bit-identical to per-point runs), then each result is persisted
-        under its unchanged per-point pulse key and registered under its
-        per-point ``("grape", fingerprint)`` artifact key — so provenance,
-        cache entries and every later lookup are indistinguishable from
-        the fan-out path.
+        pass on the pool
+        (:func:`~repro.experiments.gates.optimize_gate_pulse_batch`,
+        bit-identical to per-point runs).  Each point is registered under
+        its per-point ``("grape", fingerprint)`` artifact key and persisted
+        under its unchanged per-point pulse key when first read — so
+        provenance, cache entries and every later lookup are
+        indistinguishable from the fan-out path.
         """
-        from ..experiments.gates import optimize_gate_pulse_batch, pulse_schedule_from_result
+        from ..experiments.gates import optimize_gate_pulse_batch
 
         cold: list[GRAPESpec] = []
         for spec in specs:
-            if self._artifacts.get(("grape", spec.fingerprint())) is not None:
+            if ("grape", spec.fingerprint()) in self._artifacts:
                 continue
-            if self.store is not None and self.result_cache:
-                pulse_key = self.store.pulse_key(
-                    spec.cache_fingerprint(), self.properties_fingerprint_for(spec.device)
-                )
-                if self.store.load_pulse(pulse_key) is not None:
-                    # warm point: the solo path loads it, no optimizer runs
-                    self._grape_artifact(spec)
-                    continue
+            if self._stored_pulse(spec) is not None:
+                continue  # warm point: the solo path loads it, no optimizer runs
             cold.append(spec)
         if len(cold) >= 2:
             backend = self.backend_for(cold[0].device)
             configs = [spec.gate_config() for spec in cold]
-            start = time.perf_counter()
-            optimizations = optimize_gate_pulse_batch(backend.properties, configs)
-            batch_key = ("grape_batch", tuple(sorted(s.fingerprint() for s in cold)))
-            self.prep_timings[batch_key] = self.prep_timings.get(batch_key, 0.0) + (
-                time.perf_counter() - start
+            call = pool_submit(
+                optimize_gate_pulse_batch, backend.properties, configs, num_workers=self.num_workers
             )
-            for spec, config, optimization in zip(cold, configs, optimizations):
-                if self.store is not None:
-                    pulse_key = self.store.pulse_key(
-                        spec.cache_fingerprint(), self.properties_fingerprint_for(spec.device)
-                    )
-                    self.store.save_pulse(
-                        pulse_key,
-                        optimization,
-                        metadata={"device": _canonical(spec.device), "gate": spec.gate},
-                    )
-                schedule = pulse_schedule_from_result(backend.properties, config, optimization)
-                self._artifact(
-                    ("grape", spec.fingerprint()),
-                    lambda pair=(optimization, schedule): pair,
-                )
+            batch_key = ("grape_batch", tuple(sorted(s.fingerprint() for s in cold)))
+
+            def optimize(index: int):
+                optimizations = call.result()
+                with self._stats_lock:
+                    self.prep_timings.setdefault(batch_key, call.seconds)
+                return optimizations[index]
+
+            for index, (spec, config) in enumerate(zip(cold, configs)):
+                key = ("grape", spec.fingerprint())
+                entry = self._pending_pulse(key, spec, config, functools.partial(optimize, index))
+                self._register(key, lambda entry=entry: entry)
         # a single cold point (or none) just runs the solo path below
-        return [self._grape_artifact(spec) for spec in specs]
+        return [self._pulse_entry(spec) for spec in specs]
 
     def _build_backend(self, device: str):
         from ..backend.backend import PulseBackend
@@ -872,7 +946,7 @@ class Session:
             attrs["n_steps"] = len(steps)
         with self._span("prep"):
             for step in steps:
-                self._build_step(step, [spec])
+                _resolved(self._build_step(step, [spec]))
         prepare_s = time.perf_counter() - prep_start
 
         execute_start = time.perf_counter()
@@ -1155,6 +1229,41 @@ class Session:
         payload["error_per_cycle"] = float(result.error_per_cycle)
         payload["error_per_cycle_err"] = float(result.error_per_cycle_err)
         return payload, self._table_provenance(spec)
+
+
+class _PendingArtifact:
+    """A registry entry whose value the process pool is still computing.
+
+    :meth:`resolve` runs ``finish`` — wait for the pool's result, then
+    finish the artifact in this process — exactly once: the first
+    resolving thread runs it and the others wait for its value.  A
+    ``finish`` that raises leaves the entry unresolved, and the next
+    reader raises the same way.
+    """
+
+    def __init__(self, finish):
+        self._finish = finish
+        self._lock = threading.Lock()
+        self._value = None
+
+    def resolve(self):
+        """The finished artifact (waits for the pool and runs ``finish`` once)."""
+        with self._lock:
+            if self._value is None:
+                self._value = self._finish()
+            return self._value
+
+
+def _resolved(entry):
+    """The value of a registry entry, waiting for it when it is pending."""
+    return entry.resolve() if isinstance(entry, _PendingArtifact) else entry
+
+
+def _optimize_pulse(properties, config, method_options):
+    """Pool task of a cold ``grape`` step: one pulse optimization."""
+    from ..experiments import gates
+
+    return gates.optimize_gate_pulse(properties, config, method_options=method_options)
 
 
 def _canonical(device: str) -> str:

@@ -114,6 +114,35 @@ class TestGradients:
                 fd[j, k] = (cu - cd) / (2 * eps)
         assert np.allclose(grad, fd, atol=1e-7)
 
+    @pytest.mark.parametrize("gradient", ["exact", "approx"])
+    @pytest.mark.parametrize("open_system", [False, True], ids=["closed", "open"])
+    def test_cached_einsum_path_bit_identical(self, rng, monkeypatch, gradient, open_system):
+        """A cached contraction path gives the bytes ``optimize=True`` gives."""
+        import repro.core.grape as grape_module
+
+        model3 = TransmonModel(Q, levels=3)
+        drift3, ctrls3 = model3.drift_hamiltonian(), model3.control_hamiltonians()
+        target3 = embed_qubit_unitary(x_gate(), 3)
+        amps = rng.uniform(-0.2, 0.2, size=(2, 7))
+        kwargs = dict(
+            c_ops=collapse_operators(3, Q.t1, Q.t2) if open_system else None,
+            gradient=gradient,
+            subspace_dim=2,
+        )
+        # the second call takes the path from the cache
+        cached = [
+            grape_cost_and_gradient(drift3, ctrls3, amps, 8.0, target3, **kwargs) for _ in range(2)
+        ]
+        monkeypatch.setattr(
+            grape_module,
+            "_einsum",
+            lambda subscripts, *operands: np.einsum(subscripts, *operands, optimize=True),
+        )
+        cost, grad = grape_cost_and_gradient(drift3, ctrls3, amps, 8.0, target3, **kwargs)
+        for cached_cost, cached_grad in cached:
+            assert cached_cost == cost
+            assert cached_grad.tobytes() == grad.tobytes()
+
     def test_approx_gradient_close_to_exact_for_small_dt(self, rng):
         amps = rng.uniform(-0.3, 0.3, size=(2, 20))
         _, g_exact = grape_cost_and_gradient(DRIFT2, CTRLS2, amps, 0.5, x_gate(), gradient="exact")

@@ -28,7 +28,7 @@ from repro.solvers.propagator import (
     pwc_step_propagators,
     pwc_total_propagator,
 )
-from repro.utils.parallel import auto_chunksize, available_workers, parallel_map
+from repro.utils.parallel import auto_chunksize, available_workers, parallel_map, pool_submit
 
 
 def _random_hermitian_stack(rng, n, d):
@@ -327,6 +327,28 @@ class TestParallelMap:
         items = list(range(20))
         assert parallel_map(_square, items, num_workers=2) == [i * i for i in items]
 
+    @pytest.mark.parametrize("num_workers", [1, 2])
+    def test_pool_submit_returns_value_or_raises(self, num_workers):
+        """One call, inline or on the pool: its value, or its exception."""
+        call = pool_submit(_square, 7, num_workers=num_workers)
+        assert call.result() == 49
+        assert call.result() == 49  # repeatable
+        assert call.seconds >= 0.0
+        failing = pool_submit(_square, None, num_workers=num_workers)
+        with pytest.raises(TypeError):
+            failing.result()
+        assert failing.seconds is None
+
+    def test_pool_submit_sees_knobs_set_after_the_pool_started(self, monkeypatch):
+        """A REPRO_* knob set after the pool forked applies as it would inline."""
+        from repro.utils import parallel
+
+        parallel.start_pool(2)
+        monkeypatch.setenv("REPRO_TEST_SENTINEL", "late")
+        assert pool_submit(_read_sentinel, 0, num_workers=2).result() == "late"
+        monkeypatch.delenv("REPRO_TEST_SENTINEL")
+        assert pool_submit(_read_sentinel, 0, num_workers=2).result() is None
+
     def test_concurrent_first_maps_share_one_pool(self, monkeypatch):
         """Racing first maps build one pool; none cancels another's work."""
         import sys
@@ -423,6 +445,28 @@ class TestStartMethods:
             assert parallel._POOL_KEY == (2, "spawn")
         finally:
             parallel.shutdown_pool()
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_pool_workers_pin_blas_to_one_thread(self, monkeypatch, method):
+        """Each OpenBLAS in a pool worker runs one thread; the parent's keeps its count."""
+        import multiprocessing
+
+        from repro.utils import parallel
+
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{method} unavailable")
+        parent = parallel.openblas_threads()  # numpy's and scipy's (imported above)
+        if not parent:
+            pytest.skip("no OpenBLAS is loaded in this process")
+        monkeypatch.setenv("REPRO_MP_START", method)
+        parallel.shutdown_pool()
+        try:
+            calls = [pool_submit(parallel.openblas_threads, num_workers=2) for _ in range(4)]
+            for call in calls:
+                assert call.result() == [1] * len(parent)
+        finally:
+            parallel.shutdown_pool()
+        assert parallel.openblas_threads() == parent
 
     def test_spawn_worker_sees_repro_environment(self, monkeypatch):
         """The initializer re-applies REPRO_* knobs in spawned workers."""

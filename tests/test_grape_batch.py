@@ -66,6 +66,26 @@ class TestStackedClosedEvaluator:
             assert cost == solo_cost
             assert np.array_equal(grad, solo_grad)
 
+    @pytest.mark.parametrize("gradient", ["exact", "approx"])
+    def test_cached_einsum_path_bit_identical(self, gradient, monkeypatch):
+        """The stacked pass on cached paths gives the bytes of ``optimize=True``."""
+        import repro.core.grape_batch as batch_module
+
+        drift, controls, targets = _toy_model(seed=5)
+        stacked = StackedClosedEvaluator(drift, controls, targets, 0.6, gradient=gradient)
+        rng = np.random.default_rng(11)
+        amps = [rng.normal(size=(len(controls), 7)) for _ in targets]
+        points = list(range(len(targets)))
+        cached = stacked.evaluate(amps, points)
+        monkeypatch.setattr(
+            batch_module,
+            "_einsum",
+            lambda subscripts, *operands: np.einsum(subscripts, *operands, optimize=True),
+        )
+        for (cost, grad), (ref_cost, ref_grad) in zip(cached, stacked.evaluate(amps, points)):
+            assert cost == ref_cost
+            assert grad.tobytes() == ref_grad.tobytes()
+
     def test_partial_stack_still_bit_identical(self):
         drift, controls, targets = _toy_model(seed=3)
         stacked = StackedClosedEvaluator(drift, controls, targets, 0.5)

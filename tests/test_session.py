@@ -14,7 +14,10 @@ The load-bearing guarantees under test:
 """
 
 import json
+import os
+import signal
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from repro.benchmarking.irb import InterleavedRBExperiment
 from repro.benchmarking.rb import StandardRB
 from repro.circuits.gate import Gate
 from repro.devices import fake_montreal
+from repro.experiments.figures import fig3_specs, fig4_specs, fig8_specs
 from repro.session import (
     ExperimentResult,
     GRAPESpec,
@@ -34,6 +38,7 @@ from repro.session import (
     plan_specs,
     spec_from_dict,
 )
+from repro.session import session as session_module
 from repro.store import ArtifactStore
 from repro.utils import parallel
 from repro.utils.validation import ValidationError
@@ -143,6 +148,26 @@ class TestPlanner:
         plan = plan_specs([sweep])
         assert len(plan.specs) == 3
         assert sum(1 for s in plan.steps if s.kind == "table") == 1
+
+    def test_build_order_starts_the_largest_optimization_first(self):
+        specs = [
+            spec
+            for triple in (fig3_specs(), fig4_specs(), fig8_specs())
+            for spec in triple.values()
+        ]
+        sweep = SweepSpec(base=GRAPESpec(**FAST_GRAPE), grid={"seed": (1, 2)})
+        plan = plan_specs(specs + [sweep])
+        kinds = [step.kind for step in plan.steps]
+        phases = [kind.replace("grape_batch", "grape") for kind in kinds]
+        assert phases == sorted(phases, key=["backend", "grape", "group", "table"].index)
+        grape = [step for step in plan.steps if step.kind.startswith("grape")]
+        # the 1193 ns CX first, the stacked sweep before its own points
+        assert grape[0].payload.gate == "cx"
+        batch = kinds.index("grape_batch")
+        members = {spec.fingerprint() for spec in plan.steps[batch].payload}
+        assert all(
+            plan.steps.index(step) > batch for step in grape if step.key[1] in members
+        )
 
     def test_describe_mentions_sharing(self):
         plan = plan_specs([IRBSpec(**FAST_IRB), IRBSpec(**{**FAST_IRB, "shots": 300})])
@@ -393,3 +418,87 @@ class TestSharedPreparation:
         assert np.array_equal(stored["interleaved_survival_mean"],
                               plain["interleaved_survival_mean"])
         assert stored["gate_error"] == plain["gate_error"]
+
+
+#: The pool task of a cold GRAPE step, as the session module defines it.
+_OPTIMIZE_PULSE = session_module._optimize_pulse
+
+
+def _sigkill_first_attempt(properties, config, method_options):
+    """Pool task that SIGKILLs its worker on the first attempt, then optimizes."""
+    marker = Path(os.environ["REPRO_TEST_SIGKILL_MARKER"])
+    with open(marker, "a") as handle:
+        handle.write("attempt\n")
+    if marker.read_text().count("attempt") == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _OPTIMIZE_PULSE(properties, config, method_options)
+
+
+class TestPooledPrep:
+    """Cold GRAPE steps run on the process pool while the session goes on."""
+
+    def test_pooled_batch_matches_serial(self):
+        specs = [
+            spec
+            for triple in (fig3_specs(), fig4_specs(), fig8_specs())
+            for spec in triple.values()
+        ]
+        fingerprints = {}
+        for workers in (1, 2):
+            with Session(store=None, num_workers=workers) as session:
+                results = session.run_all(specs)
+            fingerprints[workers] = [result.payload_fingerprint() for result in results]
+        assert fingerprints[2] == fingerprints[1]
+
+    #: An IRB whose decay fits are well posed (five lengths spanning the decay).
+    IRB = {**FAST_IRB, "lengths": (1, 16, 48, 96, 160), "n_seeds": 4}
+
+    @pytest.mark.parametrize("late", ["before_dispatch", "after_dispatch"])
+    def test_custom_irb_submitted_during_run_all_optimizes_once(
+        self, tmp_path, monkeypatch, late
+    ):
+        """A late submit shares the batch's pulse: one build, one publication."""
+        store = ArtifactStore(tmp_path / "store")
+        grape = GRAPESpec(**FAST_GRAPE)
+        late_spec = IRBSpec(calibration=grape, **{**self.IRB, "shots": 300})
+        batch = [grape, IRBSpec(calibration=grape, **self.IRB), IRBSpec(**self.IRB)]
+        late_futures = []
+        build_plan = Session._build_plan
+
+        def build_plan_with_late_submit(session, plan):
+            if late == "before_dispatch":
+                late_futures.append(session.submit(late_spec))
+            build_plan(session, plan)
+            if late == "after_dispatch":
+                late_futures.append(session.submit(late_spec))
+
+        monkeypatch.setattr(Session, "_build_plan", build_plan_with_late_submit)
+        with Session(store=store, num_workers=2) as session:
+            session.run_all(batch)
+            late_result = late_futures[0].result()
+        assert session.stats["prep_builds"] == len(session._artifacts)
+        assert len([key for key in session._artifacts if key[0] == "grape"]) == 1
+        assert store.stats["pulses"]["writes"] == 1
+        assert store.stats["pulses"].get("write_skips", 0) == 0  # published once
+        with Session(store=None, num_workers=1) as serial:
+            reference = serial.run(late_spec)
+        assert late_result.payload_fingerprint() == reference.payload_fingerprint()
+
+    @pytest.mark.skipif(os.name == "nt", reason="needs SIGKILL (POSIX)")
+    def test_killed_worker_is_replaced_and_the_step_retried(self, tmp_path, monkeypatch):
+        grape = GRAPESpec(**FAST_GRAPE)
+        with Session(store=None, num_workers=1) as serial:
+            reference = serial.run(grape)
+        marker = tmp_path / "attempts"
+        monkeypatch.setenv("REPRO_TEST_SIGKILL_MARKER", str(marker))
+        monkeypatch.setattr(session_module, "_optimize_pulse", _sigkill_first_attempt)
+        parallel.shutdown_pool()  # workers must see the marker variable
+        try:
+            with Session(store=None, num_workers=2) as session:
+                first_pool = parallel._POOL
+                result = session.run(grape)
+            assert parallel._POOL is not first_pool
+            assert marker.read_text().count("attempt") == 2
+        finally:
+            parallel.shutdown_pool()
+        assert result.payload_fingerprint() == reference.payload_fingerprint()
