@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "<hostname>-<pid>-<random>; override for debugging only)")
     parser.add_argument("--poll", type=float, default=0.5, metavar="SECONDS",
                         help="idle-worker queue poll — the discovery latency for "
-                             "jobs submitted through a peer daemon (default: 0.5)")
+                             "jobs submitted through, and ?wait= long-polls on jobs "
+                             "finished by, a peer daemon (default: 0.5)")
     parser.add_argument("--tokens", default=None, metavar="PATH",
                         help="tokens.json registry enabling bearer-token auth on "
                              "/v1/* (default: $REPRO_API_TOKENS when set, else open)")

@@ -10,7 +10,7 @@ round trip is symmetric with the in-process one::
 
     client = ServiceClient("http://127.0.0.1:8765")
     job_id = client.submit(RBSpec(device="montreal", qubits=(0,), seed=7))
-    result = client.result(job_id, timeout=300.0)   # poll until done
+    result = client.result(job_id, timeout=300.0)   # long-poll until done
     print(result["error_per_clifford"])
 
 Because the daemon executes through ordinary sessions over the shared
@@ -213,9 +213,15 @@ class ServiceClient:
         payload = spec.to_dict() if isinstance(spec, ExperimentSpec) else dict(spec)
         return self._request("POST", "/v1/experiments", payload)["id"]
 
-    def status(self, job_id: str) -> dict:
-        """The job document of one id (404 → :class:`ServiceError`)."""
-        return self._request("GET", f"/v1/experiments/{job_id}")
+    def status(self, job_id: str, wait: float = 0.0) -> dict:
+        """The job document of one id (404 → :class:`ServiceError`).
+
+        With ``wait > 0`` the daemon holds the request until the job is
+        ``done``/``failed`` or ``wait`` seconds pass (server-capped at
+        ``MAX_WAIT_S``), then answers with the job as it stands.
+        """
+        query = f"?wait={wait:g}" if wait > 0 else ""
+        return self._request("GET", f"/v1/experiments/{job_id}{query}")
 
     def jobs(self, status: str | None = None, limit: int = 100) -> list[dict]:
         """Recent job documents, newest first (results omitted)."""
@@ -226,10 +232,13 @@ class ServiceClient:
         """The daemon's ``/v1/tenants`` document (configs + accounting)."""
         return self._request("GET", "/v1/tenants")
 
-    def result(
-        self, job_id: str, timeout: float = 600.0, poll_s: float = 0.2
-    ) -> ExperimentResult:
-        """Poll one job to completion and return its result.
+    def result(self, job_id: str, timeout: float = 600.0) -> ExperimentResult:
+        """Long-poll one job to completion and return its result.
+
+        Each status request waits server-side for the job to finish, up
+        to the smaller of the time left and half the socket timeout — so
+        the result arrives as soon as the job completes, and a long-poll
+        never runs into a socket timeout.
 
         Parameters
         ----------
@@ -237,8 +246,6 @@ class ServiceClient:
             As returned by :meth:`submit`.
         timeout : float
             Overall seconds to wait before raising :class:`TimeoutError`.
-        poll_s : float
-            Seconds between status polls.
 
         Returns
         -------
@@ -255,7 +262,8 @@ class ServiceClient:
         """
         deadline = time.monotonic() + timeout
         while True:
-            document = self.status(job_id)
+            remaining = deadline - time.monotonic()
+            document = self.status(job_id, wait=max(0.0, min(remaining, self.timeout / 2)))
             state = document["status"]
             if state == "done":
                 return ExperimentResult.from_json(json.dumps(document["result"]))
@@ -267,4 +275,3 @@ class ServiceClient:
                 raise TimeoutError(
                     f"job {job_id} still {state!r} after {timeout:g}s"
                 )
-            time.sleep(poll_s)

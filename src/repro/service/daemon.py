@@ -105,7 +105,8 @@ class ServiceConfig:
     poll_s : float
         Idle-worker queue poll (``--poll``).  Local submissions notify
         workers instantly; this is the discovery latency for jobs
-        submitted *through a peer daemon* on the same queue — tighten it
+        submitted *through a peer daemon* on the same queue, and for
+        ``?wait=`` long-polls on jobs a peer daemon finishes — tighten it
         in latency-sensitive multi-daemon deployments.
     tokens : object, optional
         Token-registry source (``--tokens``): a ``tokens.json`` path, a
@@ -277,7 +278,9 @@ class ExperimentService:
         The HTTP server stops accepting first, then the workers drain
         their current jobs, then the GC thread and the queue close.  A job
         still running at shutdown is re-queued by :meth:`JobQueue.recover`
-        on the next start — nothing is lost.
+        on the next start — nothing is lost.  The pool's shutdown
+        :meth:`JobQueue.kick` also releases pending ``?wait=`` long-polls
+        before the drain: each answers with its job as it stands.
         """
         if self._server is not None:
             self._server.shutdown()

@@ -8,7 +8,9 @@ method   path                        semantics
 POST     ``/v1/experiments``         submit a spec ``to_dict()`` payload →
                                      ``201 {"id", "status", "fingerprint"}``
 GET      ``/v1/experiments/<id>``    job status/result → ``200`` (``404``
-                                     for unknown ids)
+                                     for unknown ids); ``?wait=<s>``
+                                     long-polls until the job finishes
+                                     (capped at :data:`MAX_WAIT_S`)
 GET      ``/v1/experiments``         recent jobs (``?status=`` filter,
                                      ``?limit=``), result documents omitted
 GET      ``/v1/tenants``             tenant configurations + per-tenant
@@ -39,6 +41,7 @@ the tenant's admission control: a broken quota is a ``429`` carrying a
 from __future__ import annotations
 
 import json
+import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -53,6 +56,9 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: ``GET /v1/experiments?limit=`` is clamped to this many rows.
 MAX_LIST_LIMIT = 1000
+
+#: ``GET /v1/experiments/<id>?wait=`` is clamped to this many seconds.
+MAX_WAIT_S = 30.0
 
 
 class _PayloadTooLarge(Exception):
@@ -198,7 +204,23 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return
         if path.startswith("/v1/experiments/"):
             job_id = path[len("/v1/experiments/"):]
-            job = service.queue.get(job_id)
+            raw_wait = (parse_qs(url.query).get("wait") or ["0"])[0]
+            try:
+                wait = float(raw_wait)
+            except ValueError:
+                wait = math.nan
+            if not (math.isfinite(wait) and wait >= 0):
+                self._send_json(
+                    400,
+                    {"error": f"wait must be a finite number >= 0, got {raw_wait!r}"},
+                )
+                return
+            if wait > 0:
+                job = service.queue.wait_finished(
+                    job_id, min(wait, MAX_WAIT_S), poll_s=service.config.poll_s
+                )
+            else:
+                job = service.queue.get(job_id)
             if job is None:
                 self._send_json(404, {"error": f"unknown job id {job_id!r}"})
                 return

@@ -75,6 +75,9 @@ __all__ = ["Job", "JobQueue", "JOB_STATUSES", "StaleLeaseError"]
 #: The four job lifecycle states, in progression order.
 JOB_STATUSES = ("queued", "running", "done", "failed")
 
+#: The terminal states :meth:`JobQueue.wait_finished` returns on.
+_FINISHED = ("done", "failed")
+
 #: Stride-scheduling scale: a claim advances its tenant's pass by
 #: ``_STRIDE_SCALE / weight``, so relative claim frequency is
 #: proportional to weight (the scale itself cancels out of the ratio).
@@ -302,7 +305,10 @@ class JobQueue:
     same file and drain it together.  Workers block in :meth:`wait` on an
     internal condition that :meth:`submit` notifies, so an idle pool
     wakes immediately on local submission (remote daemons' submissions
-    are picked up by the poll timeout).
+    are picked up by the poll timeout).  Long-polling readers block in
+    :meth:`wait_finished` on a second condition of the same lock, which
+    every completion notifies; jobs finished by a peer daemon are caught
+    by re-reading the row on the poll interval.
 
     When a :class:`~repro.obs.metrics.MetricsRegistry` is attached (the
     daemon does this), the queue feeds two live histograms:
@@ -319,6 +325,10 @@ class JobQueue:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._new_job = threading.Condition(self._lock)
+        self._job_finished = threading.Condition(self._lock)
+        #: Set by :meth:`kick` on shutdown: :meth:`wait_finished` stops
+        #: blocking until :meth:`ensure_open` re-arms the queue.
+        self._released = False
         self._closed = True
         self._queue_latency = None
         self._job_duration = None
@@ -391,9 +401,11 @@ class JobQueue:
         Lets one daemon object be stopped and started again in-process:
         ``ExperimentService.start`` calls this before recovery, so the
         restart path works on the same instance exactly as it does on a
-        fresh one.
+        fresh one.  It also re-arms the :meth:`wait_finished` long-polls
+        a shutdown :meth:`kick` released.
         """
         with self._lock:
+            self._released = False
             if self._closed:
                 self._connect()
 
@@ -635,9 +647,17 @@ class JobQueue:
             self._new_job.wait(timeout=timeout)
 
     def kick(self) -> None:
-        """Wake every :meth:`wait`-blocked worker (used on shutdown)."""
-        with self._new_job:
+        """Wake every blocked worker and long-poll (used on shutdown).
+
+        :meth:`wait`-blocked workers wake to see their stop event;
+        :meth:`wait_finished` callers return the job as it stands, and
+        later calls stop blocking until :meth:`ensure_open` — so no
+        request handler is left waiting while the workers drain.
+        """
+        with self._lock:
+            self._released = True
             self._new_job.notify_all()
+            self._job_finished.notify_all()
 
     # ------------------------------------------------------------------ #
     # completion
@@ -726,7 +746,9 @@ class JobQueue:
                     (tenant, float(execute_s), float(execute_s)),
                 )
             self._conn.commit()
-            if not updated:
+            if updated:
+                self._job_finished.notify_all()
+            else:
                 if row is None:
                     raise KeyError(f"unknown job id {job_id!r}")
                 raise StaleLeaseError(
@@ -740,12 +762,60 @@ class JobQueue:
     # ------------------------------------------------------------------ #
     # inspection / recovery
     # ------------------------------------------------------------------ #
+    def _row(self, job_id: str) -> tuple | None:
+        """One job's row; caller holds ``self._lock``."""
+        return self._conn.execute(
+            f"SELECT {', '.join(_COLUMNS)} FROM jobs WHERE id = ?", (job_id,)
+        ).fetchone()
+
     def get(self, job_id: str) -> Job | None:
         """The job of one id, or None."""
         with self._lock:
-            row = self._conn.execute(
-                f"SELECT {', '.join(_COLUMNS)} FROM jobs WHERE id = ?", (job_id,)
-            ).fetchone()
+            row = self._row(job_id)
+        return None if row is None else _row_to_job(row)
+
+    def wait_finished(self, job_id: str, timeout: float, poll_s: float = 0.5) -> Job | None:
+        """Block until one job is ``done``/``failed``, or ``timeout`` runs out.
+
+        Parameters
+        ----------
+        job_id : str
+            The job to wait on.
+        timeout : float
+            Upper bound on the wait, in seconds.
+        poll_s : float
+            Re-read interval of the row.  A completion through this
+            instance wakes the wait at once; one written by a peer daemon
+            into the shared file sends no notification, so it is seen at
+            the next re-read (the daemon passes ``ServiceConfig.poll_s``,
+            its cross-daemon discovery latency).
+
+        Returns
+        -------
+        Job or None
+            The job as last read — finished, or still pending when the
+            timeout ran out or a shutdown (:meth:`kick`, :meth:`close`)
+            released the wait; None at once for an unknown id.
+
+        Notes
+        -----
+        Every read and the wait happen under the one queue lock, which
+        :meth:`complete` / :meth:`fail` hold while committing and
+        notifying, so a completion cannot slip in between a read and
+        the wait that follows it.
+        """
+        deadline = time.monotonic() + timeout
+        with self._lock:
+            row = self._row(job_id)
+            while row is not None:
+                remaining = deadline - time.monotonic()
+                status = row[_COLUMNS.index("status")]
+                if status in _FINISHED or remaining <= 0 or self._released:
+                    break
+                self._job_finished.wait(timeout=min(remaining, poll_s))
+                if self._closed:  # shutdown closed the connection meanwhile
+                    break
+                row = self._row(job_id)
         return None if row is None else _row_to_job(row)
 
     def jobs(self, status: str | None = None, limit: int = 100) -> list[Job]:

@@ -9,7 +9,9 @@ asserts the full contract end to end:
 * ``POST /v1/experiments`` answers 201 with a job id,
 * the job reaches ``done`` and its result replays the IRB payload,
 * a duplicate submission of the same spec is served from the result
-  cache (``cache_hit`` provenance, zero additional executions),
+  cache (``cache_hit`` provenance, zero additional executions), and its
+  ``result()`` takes exactly one status request — the ``?wait=``
+  long-poll answers on completion instead of a client-side poll loop,
 * ``/v1/store/stats`` shows exactly one result write,
 * ``/v1/metrics`` answers with a Prometheus text document carrying the
   core series (optionally written to ``--metrics-out`` for the CI
@@ -98,7 +100,7 @@ def run_smoke(
             started = time.perf_counter()
             job_id = client.submit(spec)
             print(f"submitted reduced fig3 spec: job {job_id}")
-            result = client.result(job_id, timeout=timeout, poll_s=0.2)
+            result = client.result(job_id, timeout=timeout)
             wall = time.perf_counter() - started
             _expect(client.status(job_id)["status"] == "done", "job did not finish 'done'")
             _expect(result.kind == "irb", f"unexpected result kind {result.kind!r}")
@@ -106,8 +108,21 @@ def run_smoke(
             print(f"finished in {wall:.1f}s: gate_error={result['gate_error']:.3e}")
 
             replay_id = client.submit(spec)
-            replay = client.result(replay_id, timeout=60.0, poll_s=0.1)
+            status_requests = []
+            status = client.status
+            client.status = lambda *args, **kwargs: (
+                status_requests.append(args) or status(*args, **kwargs)
+            )
+            try:
+                replay = client.result(replay_id, timeout=60.0)
+            finally:
+                del client.status
             _expect(replay.cache_hit, "duplicate submission was not served from the cache")
+            _expect(
+                len(status_requests) == 1,
+                f"cached replay took {len(status_requests)} status requests, "
+                "expected a single long-poll",
+            )
             _expect(
                 replay.payload_fingerprint() == result.payload_fingerprint(),
                 "cached replay payload is not bit-identical",

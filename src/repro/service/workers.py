@@ -194,7 +194,7 @@ class WorkerPool:
     def stop(self, timeout: float = 10.0) -> None:
         """Signal every worker to finish its current job and join them."""
         self._stop.set()
-        self.queue.kick()  # wake idle workers immediately
+        self.queue.kick()  # wake idle workers (and long-polls) immediately
         for thread in self._threads:
             thread.join(timeout=timeout)
         # threads that outlived the timeout keep their (set) generation

@@ -16,6 +16,11 @@ Covers the PR acceptance criteria of the multi-session service:
 * **Bounded result retention** — ``prune(results_max_bytes=,
   results_max_age=)`` evicts least-recently-used entries, honours both
   bounds, refreshes recency on hits, and never evicts in-flight keys.
+* **Long-poll** — ``GET /v1/experiments/<id>?wait=`` answers on
+  completion (local notification, or a re-read for a peer daemon's),
+  validates and clamps ``wait``, and is released by ``stop()``;
+  ``ServiceClient.result`` keeps every long-poll below its socket
+  timeout and honours its own ``timeout``.
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ from repro.utils.validation import ValidationError
 
 #: Small-but-real RB workload shared by the service tests (sub-second).
 FAST_RB = dict(device="montreal", qubits=(0,), lengths=(1, 4, 8), n_seeds=1, shots=100, seed=5)
+
+#: The long-poll tests' workload: as fast, and its decay fits with a
+#: covariance (no ``OptimizeWarning``).
+LONG_POLL_RB = dict(FAST_RB, lengths=(1, 16, 48, 96), n_seeds=2)
 
 
 @pytest.fixture
@@ -291,6 +300,201 @@ class TestServiceRoundTrip:
                 assert health["sessions"]["executions"] == 1
                 # the publication landed on the worker daemon's store
                 assert backend.store.namespace_stats("results")["writes"] == 1
+
+
+class TestLongPoll:
+    """``GET /v1/experiments/<id>?wait=`` and the client built on it."""
+
+    def test_wait_finished_wakes_on_local_completion(self, tmp_path):
+        queue = JobQueue(tmp_path / "queue.sqlite3")
+        job_id = queue.submit({"kind": "rb", "seed": 1})
+        queue.claim()
+        timer = threading.Timer(0.2, queue.complete, args=(job_id, "{}"))
+        timer.start()
+        started = time.monotonic()
+        # the re-read interval is far away: only the notification can wake it
+        job = queue.wait_finished(job_id, timeout=10.0, poll_s=30.0)
+        timer.join(timeout=10.0)
+        assert not timer.is_alive()
+        assert job.status == "done"
+        assert time.monotonic() - started < 5.0
+        assert queue.wait_finished("nope", timeout=10.0) is None  # at once
+        queue.close()
+
+    def test_wait_finished_sees_peer_daemon_completion(self, tmp_path):
+        """A job finished through another connection sends no local
+        notification: the wait sees it within one re-read interval."""
+        path = tmp_path / "queue.sqlite3"
+        waiter, peer = JobQueue(path), JobQueue(path)
+        job_id = waiter.submit({"kind": "rb", "seed": 1})
+        peer.claim()
+        finished_at = []
+
+        def finish():
+            time.sleep(0.3)
+            peer.complete(job_id, "{}")
+            finished_at.append(time.monotonic())
+
+        thread = threading.Thread(target=finish)
+        thread.start()
+        poll_s = 0.25
+        job = waiter.wait_finished(job_id, timeout=10.0, poll_s=poll_s)
+        returned = time.monotonic()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert job.status == "done"
+        assert returned - finished_at[0] < poll_s + 0.5
+        waiter.close(), peer.close()
+
+    def test_no_completion_is_lost_between_read_and_wait(self, tmp_path):
+        """Waiters racing completions, more threads than cores, with a
+        shortened switch interval.  The 60 s re-read interval is out of
+        reach, so a completion landing between a waiter's read and its
+        wait would leave that waiter to run out its 10 s timeout."""
+        import sys
+
+        queue = JobQueue(tmp_path / "queue.sqlite3")
+
+        def wait(job_id, outcomes):
+            outcomes[job_id] = queue.wait_finished(job_id, timeout=10.0, poll_s=60.0)
+
+        def finish(ids):
+            for job_id in ids:
+                queue.complete(job_id, "{}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.monotonic()
+            for _ in range(250):
+                job_ids = [queue.submit({"kind": "rb", "seed": n}) for n in range(8)]
+                for _ in job_ids:
+                    queue.claim()
+                outcomes = {}
+                waiters = [
+                    threading.Thread(target=wait, args=(job_id, outcomes))
+                    for job_id in job_ids
+                ]
+                finishers = [
+                    threading.Thread(target=finish, args=(job_ids[half::2],))
+                    for half in (0, 1)
+                ]
+                for thread in waiters + finishers:
+                    thread.start()
+                for thread in waiters + finishers:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in waiters + finishers)
+                assert all(outcomes[job_id].status == "done" for job_id in job_ids)
+            elapsed = time.monotonic() - started
+        finally:
+            sys.setswitchinterval(interval)
+        assert elapsed < 10.0  # no waiter ran out its timeout
+        queue.close()
+
+    def test_wait_returns_on_completion(self, tmp_path, store, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_EXECUTE_DELAY_S", "1.0")
+        with _service(tmp_path, store) as service:
+            client = ServiceClient(service.url)
+            job_id = client.submit(RBSpec(**LONG_POLL_RB))
+            document = client._request("GET", f"/v1/experiments/{job_id}?wait=5")
+            returned = time.time()
+        assert document["status"] == "done" and document["result"]["kind"] == "rb"
+        assert returned - document["finished_at"] < 1.0
+
+    def test_wait_parameter_validation(self, tmp_path, store, monkeypatch):
+        from repro.service import http
+
+        with _service(tmp_path, store, workers=0) as service:
+            client = ServiceClient(service.url, max_retries=0)
+            job_id = client.submit(RBSpec(**LONG_POLL_RB))  # parked: no workers
+            for bad_wait in ("abc", "-1", "nan", "inf"):
+                with pytest.raises(ServiceError) as err:
+                    client._request("GET", f"/v1/experiments/{job_id}?wait={bad_wait}")
+                assert err.value.status == 400
+            # an unknown id is a 404 at once, whatever the wait
+            started = time.monotonic()
+            with pytest.raises(ServiceError) as err:
+                client.status("no-such-job", wait=30.0)
+            assert err.value.status == 404
+            assert time.monotonic() - started < 1.0
+            # a wait above the cap is clamped to it, not refused
+            monkeypatch.setattr(http, "MAX_WAIT_S", 0.2)
+            started = time.monotonic()
+            document = client.status(job_id, wait=1000.0)
+            assert document["status"] == "queued"
+            assert 0.15 < time.monotonic() - started < 5.0
+
+    def test_result_stays_below_the_socket_timeout(self, tmp_path, store, monkeypatch):
+        """Every long-poll waits at most half the socket timeout, so a
+        job outlasting the timeout needs no transport retry."""
+        monkeypatch.setenv("REPRO_FAULT_EXECUTE_DELAY_S", "1.5")
+        with _service(tmp_path, store) as service:
+            client = ServiceClient(service.url, timeout=0.5)
+            job_id = client.submit(RBSpec(**LONG_POLL_RB))
+            paths, errors = [], []
+            request_once = client._request_once
+
+            def recording(method, path, payload=None):
+                paths.append(path)
+                try:
+                    return request_once(method, path, payload)
+                except Exception as exc:
+                    errors.append(exc)
+                    raise
+
+            monkeypatch.setattr(client, "_request_once", recording)
+            result = client.result(job_id, timeout=60.0)
+        assert result.kind == "rb"
+        assert errors == []
+        waits = [float(path.split("?wait=")[1]) for path in paths]
+        assert len(waits) == len(paths) >= 2
+        assert all(0.0 < wait <= 0.25 for wait in waits)
+
+    def test_result_timeout_on_parked_job(self, tmp_path, store, monkeypatch):
+        with _service(tmp_path, store, workers=0) as service:
+            client = ServiceClient(service.url)
+            job_id = client.submit(RBSpec(**LONG_POLL_RB))
+            calls = []
+            status = client.status
+            monkeypatch.setattr(
+                client, "status",
+                lambda *args, **kwargs: calls.append(args) or status(*args, **kwargs),
+            )
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                client.result(job_id, timeout=0.3)
+            elapsed = time.monotonic() - started
+        assert 0.25 < elapsed < 2.0
+        assert 1 <= len(calls) <= 2  # one long-poll, not a poll loop
+
+    def test_stop_releases_pending_long_poll(self, tmp_path, store, monkeypatch, capsys):
+        """A long-poll pending at shutdown is answered before the worker
+        drain ends, not left waiting on the queue the daemon closes."""
+        monkeypatch.setenv("REPRO_FAULT_EXECUTE_DELAY_S", "3.0")
+        service = _service(tmp_path, store, workers=1)
+        service.start()
+        client = ServiceClient(service.url)
+        client.submit(RBSpec(**LONG_POLL_RB))  # occupies the only worker
+        parked = client.submit(RBSpec(**{**LONG_POLL_RB, "seed": 6}))
+        outcome = {}
+
+        def long_poll():
+            outcome["document"] = client.status(parked, wait=30.0)
+            outcome["returned"] = time.monotonic()
+
+        poll = threading.Thread(target=long_poll)
+        poll.start()
+        time.sleep(0.3)
+        assert poll.is_alive()  # genuinely parked in the long-poll
+        started = time.monotonic()
+        service.stop()
+        stopped = time.monotonic()
+        poll.join(timeout=10.0)
+        assert not poll.is_alive()
+        assert stopped - started < 10.0  # the drain of the busy worker
+        assert outcome["returned"] < stopped - 1.0  # released before the drain ended
+        assert outcome["document"]["status"] == "queued"
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestRestartResume:
