@@ -15,9 +15,10 @@ calibrated gates.  This package implements the full stack from scratch:
   Magesan et al. interleaved-gate-error estimator used by Qiskit (and by the
   paper's Table I),
 * :mod:`~repro.benchmarking.engine` — the batched execution engine: cached
-  per-Clifford superoperator channels composed per sequence (instead of
-  re-executing every circuit gate-by-gate) with an optional process-pool
-  fan-out over sequences,
+  per-Clifford superoperator channels composed as stacked matmuls over
+  each group of equal-length sequences (instead of re-executing every
+  circuit gate-by-gate) with an optional process-pool fan-out over those
+  length groups,
 * :mod:`~repro.benchmarking.tableau` — the symplectic-tableau Clifford
   composer: composition and inversion as integer arithmetic on packed
   binary tableaux instead of matrix products,

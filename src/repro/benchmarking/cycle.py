@@ -36,14 +36,15 @@ from .rb import (
     RBResult,
     RBSequence,
     _build_sequence_circuit,
+    _check_lengths,
+    _draw_rows,
     _locate_interleaved_element,
-    _recovery_index,
+    _recovery_indices,
     _resolve_experiment_store,
     execute_rb_sequences,
 )
 from ..circuits.gate import Gate
 from ..qobj.gates import x_gate, y_gate, z_gate
-from ..utils.seeding import spawn_rngs
 from ..utils.validation import ValidationError
 
 __all__ = [
@@ -100,46 +101,43 @@ def cycle_sequences(
     cycle_element = _locate_interleaved_element(
         group, gate, physical_qubits, physical_qubits
     )
-    paulis = pauli_indices(group)
     if lengths is None:
         lengths = DEFAULT_LENGTHS_1Q if n_qubits == 1 else DEFAULT_LENGTHS_2Q
-    lengths = [int(m) for m in lengths]
-    if any(m < 1 for m in lengths):
-        raise ValidationError(f"sequence lengths must be >= 1, got {lengths}")
+    lengths = _check_lengths(lengths)
     if n_seeds < 1:
         raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
+    paulis = np.asarray(pauli_indices(group))
+    rows = [paulis[row] for row in _draw_rows(seed, n_seeds, lengths, len(paulis))]
+    recoveries = _recovery_indices(group, rows, cycle_element.index).tolist()
+    keys = [(seed_index, m) for seed_index in range(n_seeds) for m in lengths]
     n_circuit_qubits = max(physical_qubits) + 1
     qubits_tuple = tuple(physical_qubits)
     sequences: list[RBSequence] = []
-    for seed_index, rng in enumerate(spawn_rngs(seed, n_seeds)):
-        for m in lengths:
-            indices = tuple(
-                paulis[int(rng.integers(len(paulis)))] for _ in range(m)
+    for (seed_index, m), row, recovery_idx in zip(keys, rows, recoveries):
+        indices = tuple(row.tolist())
+        circuit = None
+        if build_circuits:
+            circuit = _build_sequence_circuit(
+                group,
+                [group.element(i) for i in indices],
+                physical_qubits,
+                n_circuit_qubits,
+                gate,
+                physical_qubits,
+                group.element(recovery_idx),
+                name=f"cb_m{m}_s{seed_index}",
             )
-            recovery_idx = _recovery_index(group, indices, cycle_element.index)
-            circuit = None
-            if build_circuits:
-                circuit = _build_sequence_circuit(
-                    group,
-                    [group.element(i) for i in indices],
-                    physical_qubits,
-                    n_circuit_qubits,
-                    gate,
-                    physical_qubits,
-                    group.element(recovery_idx),
-                    name=f"cb_m{m}_s{seed_index}",
-                )
-            sequences.append(
-                RBSequence(
-                    circuit=circuit,
-                    length=m,
-                    seed_index=seed_index,
-                    interleaved=True,
-                    clifford_indices=indices,
-                    recovery_index=recovery_idx,
-                    physical_qubits=qubits_tuple,
-                )
+        sequences.append(
+            RBSequence(
+                circuit=circuit,
+                length=m,
+                seed_index=seed_index,
+                interleaved=True,
+                clifford_indices=indices,
+                recovery_index=recovery_idx,
+                physical_qubits=qubits_tuple,
             )
+        )
     return sequences
 
 

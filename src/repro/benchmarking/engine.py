@@ -12,13 +12,18 @@ This engine instead:
    word is transpiled and composed through the exact same
    :meth:`~repro.backend.backend.PulseBackend.circuit_channel` machinery as
    the circuit path, so the two paths agree to floating point),
-2. composes each sequence as a short product of cached ``4^n × 4^n``
-   superoperators (plus the interleaved gate's channel, when present),
-3. samples measurement outcomes through the same
-   :mod:`repro.backend.sampling` pipeline and per-sequence seeds as the
-   circuit path,
-4. optionally fans sequences out over a process pool via
-   :func:`repro.utils.parallel.parallel_map` (``num_workers`` knob).
+2. groups the sequences by (length, interleaved) into ``(k, m)`` element
+   index arrays, resolves the used channels once as a dense
+   ``(ids, channels)`` pair (the store's memory map, or one stack of the
+   in-memory table) and finds every position with one ``searchsorted``,
+3. composes each length group as ``m`` stacked ``4^n × 4^n`` matmuls over
+   its ``k`` sequences — element, then the interleaved gate's channel when
+   present, recovery last, the operand order of a per-sequence loop — and
+   samples every sequence through the same :mod:`repro.backend.sampling`
+   pipeline and per-sequence seeds as the circuit path,
+4. fans the length groups out over a process pool via
+   :func:`repro.utils.parallel.parallel_map` (``num_workers`` knob; one
+   worker runs them inline).
 
 Tables are cached on the backend instance and invalidated together with the
 backend's gate-channel cache when the device properties drift.
@@ -54,7 +59,7 @@ __all__ = [
 ]
 
 
-def used_element_indices(sequences) -> set[int]:
+def used_element_indices(sequences) -> np.ndarray:
     """Distinct group-element indices a sequence workload touches.
 
     Includes every sampled Clifford index and every recovery index — the
@@ -71,15 +76,13 @@ def used_element_indices(sequences) -> set[int]:
 
     Returns
     -------
-    set of int
-        Group-element indices used by the workload.
+    ndarray
+        Sorted int64 group-element indices used by the workload.
     """
-    used: set[int] = set()
-    for sequence in sequences:
-        used.update(int(i) for i in sequence.clifford_indices)
-        if sequence.recovery_index is not None:
-            used.add(int(sequence.recovery_index))
-    return used
+    parts = [np.asarray(sequence.clifford_indices, dtype=np.int64) for sequence in sequences]
+    recoveries = [s.recovery_index for s in sequences if s.recovery_index is not None]
+    parts.append(np.asarray(recoveries, dtype=np.int64))
+    return np.unique(np.concatenate(parts))
 
 
 class CliffordChannelTable:
@@ -191,19 +194,38 @@ class CliffordChannelTable:
             self._dirty.add(index)
             return channel
 
-    def materialize(self, indices) -> dict[int, np.ndarray]:
-        """Channels for a set of element indices as a plain (picklable) dict."""
-        return {int(i): np.asarray(self.channel_by_index(int(i))) for i in set(indices)}
+    def stack(self, indices: np.ndarray) -> np.ndarray:
+        """Channels of ``indices`` as one ``(len(indices), 4^n, 4^n)`` array."""
+        return np.stack([np.asarray(self.channel_by_index(i)) for i in indices.tolist()])
+
+    def _covered(self, indices: np.ndarray) -> np.ndarray:
+        """Mask of the ``indices`` reachable without building (disk or memory).
+
+        Lock-free: the stored pair is read before the in-memory keys, and a
+        flush publishes its generation before it empties the dict, so a
+        racing flush can only hide an element (the caller then takes the
+        build lock), never report a missing one.
+        """
+        pair = self._stored_pair
+        known = [np.fromiter(tuple(self._channels), dtype=np.int64)]
+        if pair is not None:
+            known.append(pair[0])
+        return np.isin(indices, np.concatenate(known))
 
     def ensure(self, indices) -> None:
         """Build (and, with a store, persist) the channels of ``indices``.
 
-        Thread-safe: the build-and-flush runs under the table's build
-        lock, so concurrent ``ensure`` calls (session prep extending the
-        table while another spec executes) serialize instead of racing.
+        Thread-safe: when every index is already reachable (and nothing
+        built is waiting for a flush) it returns without the build lock;
+        otherwise the build-and-flush runs under the lock, so concurrent
+        ``ensure`` calls (session prep extending the table while another
+        spec executes) serialize instead of racing.
         """
+        indices = np.unique(np.fromiter(indices, dtype=np.int64))
+        if (self.store is None or not self._dirty) and self._covered(indices).all():
+            return
         with self._build_lock:
-            for index in set(int(i) for i in indices):
+            for index in indices[~self._covered(indices)].tolist():
                 self.channel_by_index(index)
             self.flush()
 
@@ -333,26 +355,27 @@ def interleaved_gate_channel(
 # sequence execution
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class _SequenceJob:
-    """Per-sequence work item (picklable)."""
+class _LengthGroup:
+    """The sequences of one (length, interleaved) pair as arrays (picklable)."""
 
-    indices: tuple[int, ...]
-    recovery_index: int
+    indices: np.ndarray
+    recovery: np.ndarray
     interleaved: bool
-    sample_seed: int
-    name: str
+    sample_seeds: tuple[int, ...]
+    names: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class _EngineContext:
-    """Shared, picklable execution context for the sequence workers.
+    """Shared, picklable execution context for the length-group workers.
 
-    Exactly one of ``channels`` (a plain per-index dict, pickled to every
-    worker) and ``handle`` (a :class:`ChannelTableHandle` the workers
-    memory-map locally, sharing the kernel page cache) is set.
+    Exactly one of ``channels`` (a dense ``(ids, channels)`` pair of the
+    used elements, pickled to every worker) and ``handle`` (a
+    :class:`ChannelTableHandle` whose arrays the workers memory-map
+    locally, sharing the kernel page cache) is set.
     """
 
-    channels: dict[int, np.ndarray] | None
+    channels: tuple[np.ndarray, np.ndarray] | None
     handle: ChannelTableHandle | None
     interleaved_channel: np.ndarray | None
     active: tuple[int, ...]
@@ -361,35 +384,48 @@ class _EngineContext:
     shots: int
     backend_name: str
 
-    def channel(self, index: int) -> np.ndarray:
-        """Channel of one Clifford element from the dict or the memory map."""
-        if self.channels is not None:
-            return self.channels[index]
-        return self.handle.channel(index)
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(ids, channels)`` pair, ids sorted ascending.
+
+        A memory map is returned as a plain ndarray view of the same
+        pages: gathers from it then skip ``np.memmap``'s Python-level
+        ``__getitem__``.
+        """
+        if self.handle is None:
+            return self.channels
+        ids, channels = self.handle.table()
+        return ids, np.asarray(channels)
 
 
-def _run_sequence_job(context: _EngineContext, job: _SequenceJob) -> float:
-    """Compose one sequence's channel, sample it, return the survival."""
-    recovery = context.channel(job.recovery_index)
-    total = np.eye(recovery.shape[0], dtype=complex)
-    inter = context.interleaved_channel if job.interleaved else None
-    for idx in job.indices:
-        total = context.channel(idx) @ total
+def _run_length_group(context: _EngineContext, group: _LengthGroup) -> list[float]:
+    """Compose one length group's channels as stacked matmuls, sample each."""
+    ids, channels = context.table()
+    positions = np.searchsorted(ids, group.indices)
+    recovery = channels[np.searchsorted(ids, group.recovery)]
+    k, m = positions.shape
+    dim = channels.shape[-1]
+    total = np.tile(np.eye(dim, dtype=complex), (k, 1, 1))
+    inter = context.interleaved_channel if group.interleaved else None
+    for j in range(m):
+        total = channels[positions[:, j]] @ total
         if inter is not None:
             total = inter @ total
     total = recovery @ total
-    probs = channel_output_probabilities(total, len(context.active))
-    result = sample_measurement(
-        probs,
-        list(context.active),
-        list(context.measured),
-        context.confusion,
-        default_rng(job.sample_seed),
-        context.shots,
-        job.name,
-        context.backend_name,
-    )
-    return result.ground_state_population()
+    survivals = []
+    for channel, sample_seed, name in zip(total, group.sample_seeds, group.names):
+        probs = channel_output_probabilities(channel, len(context.active))
+        result = sample_measurement(
+            probs,
+            list(context.active),
+            list(context.measured),
+            context.confusion,
+            default_rng(sample_seed),
+            context.shots,
+            name,
+            context.backend_name,
+        )
+        survivals.append(result.ground_state_population())
+    return survivals
 
 
 def execute_sequences_with_channels(
@@ -430,7 +466,8 @@ def execute_sequences_with_channels(
     seed : optional
         Seed of the per-sequence sampling-seed stream.
     num_workers : int
-        Process fan-out (see :func:`repro.utils.parallel.parallel_map`).
+        Process fan-out over length groups (see
+        :func:`repro.utils.parallel.parallel_map`).
     store : optional
         Persistent channel-store selector (``"auto"``, path, store
         instance, ``False`` or ``None`` = inherit the backend's default).
@@ -442,6 +479,8 @@ def execute_sequences_with_channels(
     list of float
         Ground-state survival of every sequence, in input order.
     """
+    if not sequences:
+        return []
     physical_qubits = [int(q) for q in physical_qubits]
     table = clifford_channel_table(backend, physical_qubits, group, store=store)
     needs_interleaved = any(seq.interleaved for seq in sequences)
@@ -454,44 +493,43 @@ def execute_sequences_with_channels(
         inter_channel = interleaved_gate_channel(
             backend, interleaved_gate, physical_qubits, calibration=interleaved_calibration
         )
-    rng = default_rng(seed)
+    if any(seq.recovery_index is None for seq in sequences):
+        raise ValidationError(
+            "sequence is missing its recovery index; regenerate it with rb_sequences()"
+        )
+    # one seed per sequence, drawn in sequence order (matches the loop path)
+    sample_seeds = default_rng(seed).integers(2**31 - 1, size=len(sequences)).tolist()
+    members: dict[tuple[int, bool], list[int]] = {}
+    for position, seq in enumerate(sequences):
+        members.setdefault((len(seq.clifford_indices), bool(seq.interleaved)), []).append(position)
     jobs = []
-    used_indices: set[int] = set()
-    for seq in sequences:
-        if seq.recovery_index is None:
-            raise ValidationError(
-                "sequence is missing its recovery index; regenerate it with rb_sequences()"
-            )
-        # one seed per sequence, drawn in sequence order (matches the loop path)
-        sample_seed = int(rng.integers(2**31 - 1))
-        used_indices.update(seq.clifford_indices)
-        used_indices.add(seq.recovery_index)
+    for (_, interleaved), positions in members.items():
+        chosen = [sequences[p] for p in positions]
         jobs.append(
-            _SequenceJob(
-                indices=tuple(seq.clifford_indices),
-                recovery_index=int(seq.recovery_index),
-                interleaved=bool(seq.interleaved),
-                sample_seed=sample_seed,
-                name=f"{'irb' if seq.interleaved else 'rb'}_m{seq.length}_s{seq.seed_index}",
+            _LengthGroup(
+                indices=np.array([seq.clifford_indices for seq in chosen], dtype=np.int64),
+                recovery=np.array([seq.recovery_index for seq in chosen], dtype=np.int64),
+                interleaved=interleaved,
+                sample_seeds=tuple(sample_seeds[p] for p in positions),
+                names=tuple(
+                    f"{'irb' if seq.interleaved else 'rb'}_m{seq.length}_s{seq.seed_index}"
+                    for seq in chosen
+                ),
             )
         )
+    used = np.unique(np.concatenate([np.append(job.indices, job.recovery) for job in jobs]))
+    handle = None
     if table.store is not None:
-        table.ensure(used_indices)
+        table.ensure(used)
         handle = table.handle()
-        if handle is not None:
-            # A concurrent cold-start on the same key may have won the
-            # manifest race with a generation missing some of our elements
-            # (merges are last-writer-wins); only ship the handle when it
-            # covers the workload, else fall back to pickled channels.
-            ids, _ = handle.table()
-            if not np.isin(np.fromiter(used_indices, dtype=np.int64), ids).all():
-                handle = None
-        channels = None if handle is not None else table.materialize(used_indices)
-    else:
-        handle = None
-        channels = table.materialize(used_indices)
+        # A concurrent cold-start on the same key may have won the
+        # manifest race with a generation missing some of our elements
+        # (merges are last-writer-wins); only ship the handle when it
+        # covers the workload, else fall back to a stack of the channels.
+        if handle is not None and not np.isin(used, handle.table()[0]).all():
+            handle = None
     context = _EngineContext(
-        channels=channels,
+        channels=None if handle is not None else (used, table.stack(used)),
         handle=handle,
         interleaved_channel=inter_channel,
         active=tuple(table.active),
@@ -502,4 +540,9 @@ def execute_sequences_with_channels(
         shots=int(shots),
         backend_name=backend.name,
     )
-    return parallel_map(partial(_run_sequence_job, context), jobs, num_workers=num_workers)
+    results = parallel_map(partial(_run_length_group, context), jobs, num_workers=num_workers)
+    survivals = [0.0] * len(sequences)
+    for positions, values in zip(members.values(), results):
+        for position, value in zip(positions, values):
+            survivals[position] = value
+    return survivals

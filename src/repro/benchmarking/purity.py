@@ -35,12 +35,13 @@ from .rb import (
     DEFAULT_LENGTHS_1Q,
     DEFAULT_LENGTHS_2Q,
     RBSequence,
+    _check_lengths,
+    _draw_rows,
     _resolve_experiment_store,
 )
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.transpiler import transpile
 from ..qobj.superop import apply_superop
-from ..utils.seeding import spawn_rngs
 from ..utils.validation import ValidationError
 
 __all__ = [
@@ -73,37 +74,32 @@ def purity_rb_sequences(
     group = clifford_group(n_qubits, store=store)
     if lengths is None:
         lengths = DEFAULT_LENGTHS_1Q if n_qubits == 1 else DEFAULT_LENGTHS_2Q
-    lengths = [int(m) for m in lengths]
-    if any(m < 1 for m in lengths):
-        raise ValidationError(f"sequence lengths must be >= 1, got {lengths}")
+    lengths = _check_lengths(lengths)
     if n_seeds < 1:
         raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
     n_circuit_qubits = max(physical_qubits) + 1
     qubits_tuple = tuple(physical_qubits)
+    keys = [(seed_index, m) for seed_index in range(n_seeds) for m in lengths]
     sequences: list[RBSequence] = []
-    for seed_index, rng in enumerate(spawn_rngs(seed, n_seeds)):
-        for m in lengths:
-            elements = [group.sample(rng) for _ in range(m)]
-            indices = tuple(e.index for e in elements)
-            circuit = None
-            if build_circuits:
-                circuit = QuantumCircuit(
-                    n_circuit_qubits, 0, name=f"purity_m{m}_s{seed_index}"
-                )
-                for element in elements:
-                    group.append_to_circuit(circuit, element, physical_qubits)
-                    circuit.barrier(*physical_qubits)
-            sequences.append(
-                RBSequence(
-                    circuit=circuit,
-                    length=m,
-                    seed_index=seed_index,
-                    interleaved=False,
-                    clifford_indices=indices,
-                    recovery_index=None,
-                    physical_qubits=qubits_tuple,
-                )
+    for (seed_index, m), row in zip(keys, _draw_rows(seed, n_seeds, lengths, len(group))):
+        indices = tuple(row.tolist())
+        circuit = None
+        if build_circuits:
+            circuit = QuantumCircuit(n_circuit_qubits, 0, name=f"purity_m{m}_s{seed_index}")
+            for index in indices:
+                group.append_to_circuit(circuit, group.element(index), physical_qubits)
+                circuit.barrier(*physical_qubits)
+        sequences.append(
+            RBSequence(
+                circuit=circuit,
+                length=m,
+                seed_index=seed_index,
+                interleaved=False,
+                clifford_indices=indices,
+                recovery_index=None,
+                physical_qubits=qubits_tuple,
             )
+        )
     return sequences
 
 

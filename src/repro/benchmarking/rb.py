@@ -85,18 +85,66 @@ class RBSequence:
     physical_qubits: tuple[int, ...] = ()
 
 
+def _check_lengths(lengths: Sequence[int]) -> list[int]:
+    """Sequence lengths as ints, each at least 1 and none repeated.
+
+    A repeated length would draw fresh Cliffords for each occurrence in
+    the standard pass while an interleaved pass can pair only one draw per
+    (seed, length), so repeats are rejected rather than silently unpaired.
+    """
+    lengths = [int(m) for m in lengths]
+    if any(m < 1 for m in lengths):
+        raise ValidationError(f"sequence lengths must be >= 1, got {lengths}")
+    if len(set(lengths)) != len(lengths):
+        raise ValidationError(f"sequence lengths must be distinct, got {lengths}")
+    return lengths
+
+
+def _draw_rows(seed, n_seeds: int, lengths: Sequence[int], n: int) -> list[np.ndarray]:
+    """Uniform draws from ``range(n)`` for every (seed, length), seed-major.
+
+    One spawned RNG per seed index draws ``rng.integers(n, size=m)`` for
+    each length in turn: the same stream as ``m`` scalar draws.
+    """
+    return [rng.integers(n, size=m) for rng in spawn_rngs(seed, n_seeds) for m in lengths]
+
+
+def _recovery_indices(
+    group: CliffordGroup,
+    rows: Sequence[Sequence[int]],
+    interleaved_index: int | None = None,
+) -> np.ndarray:
+    """Element index of the recovery Clifford of every row of a pass.
+
+    The rows are laid out as one ``(rows, width)`` index array padded with
+    the identity, with ``interleaved_index`` in every odd column when
+    given.  Adjacent columns are composed pairwise, one
+    :meth:`~repro.benchmarking.tableau.CliffordTableauIndex.compose_indices`
+    gather per level, and the products are inverted in one gather.
+    """
+    table = group.tableau_index()
+    identity = group.identity.index
+    stride = 1 if interleaved_index is None else 2
+    width = max(1, stride * max((len(row) for row in rows), default=0))
+    net = np.full((len(rows), width), identity, dtype=np.int64)
+    for i, row in enumerate(rows):
+        net[i, : stride * len(row) : stride] = row
+        if interleaved_index is not None:
+            net[i, 1 : 2 * len(row) : 2] = interleaved_index
+    while net.shape[1] > 1:
+        if net.shape[1] % 2:
+            net = np.pad(net, ((0, 0), (0, 1)), constant_values=identity)
+        net = table.compose_indices(net[:, 0::2], net[:, 1::2])
+    return table.inverse_indices(net[:, 0])
+
+
 def _recovery_index(
     group: CliffordGroup,
     element_indices: Sequence[int],
     interleaved_index: int | None = None,
 ) -> int:
     """Element index of the recovery Clifford inverting the sequence."""
-    net = group.identity.index
-    for idx in element_indices:
-        net = group.compose_index(net, idx)
-        if interleaved_index is not None:
-            net = group.compose_index(net, interleaved_index)
-    return group.inverse_index(net)
+    return int(_recovery_indices(group, [element_indices], interleaved_index)[0])
 
 
 def _build_sequence_circuit(
@@ -225,13 +273,11 @@ def rb_sequences(
     group = clifford_group(n_qubits, store=store)
     if lengths is None:
         lengths = DEFAULT_LENGTHS_1Q if n_qubits == 1 else DEFAULT_LENGTHS_2Q
-    lengths = [int(m) for m in lengths]
-    if any(m < 1 for m in lengths):
-        raise ValidationError(f"sequence lengths must be >= 1, got {lengths}")
+    lengths = _check_lengths(lengths)
     if n_seeds < 1:
         raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
 
-    interleaved_element = None
+    passes = [(False, None)]
     if interleaved_gate is not None:
         interleaved_qubits = list(interleaved_qubits or physical_qubits)
         if sorted(interleaved_qubits) != sorted(physical_qubits):
@@ -241,70 +287,40 @@ def rb_sequences(
         interleaved_element = _locate_interleaved_element(
             group, interleaved_gate, physical_qubits, interleaved_qubits
         )
+        passes.append((True, interleaved_element.index))
 
     n_circuit_qubits = max(physical_qubits) + 1
-    rngs = spawn_rngs(seed, n_seeds)
+    rows = _draw_rows(seed, n_seeds, lengths, len(group))
+    keys = [(seed_index, m) for seed_index in range(n_seeds) for m in lengths]
+    draws = [tuple(row.tolist()) for row in rows]
     sequences: list[RBSequence] = []
-    sampled: dict[tuple[int, int], list[CliffordElement]] = {}
     qubits_tuple = tuple(physical_qubits)
-    for seed_index, rng in enumerate(rngs):
-        for m in lengths:
-            elements = [group.sample(rng) for _ in range(m)]
-            sampled[(seed_index, m)] = elements
-            indices = tuple(e.index for e in elements)
-            recovery_idx = _recovery_index(group, indices)
+    for interleaved, interleaved_index in passes:
+        recoveries = _recovery_indices(group, rows, interleaved_index).tolist()
+        for (seed_index, m), indices, recovery_idx in zip(keys, draws, recoveries):
             circuit = None
             if build_circuits:
                 circuit = _build_sequence_circuit(
                     group,
-                    elements,
+                    [group.element(i) for i in indices],
                     physical_qubits,
                     n_circuit_qubits,
-                    None,
-                    None,
+                    interleaved_gate if interleaved else None,
+                    interleaved_qubits if interleaved else None,
                     group.element(recovery_idx),
-                    name=f"rb_m{m}_s{seed_index}",
+                    name=f"{'irb' if interleaved else 'rb'}_m{m}_s{seed_index}",
                 )
             sequences.append(
                 RBSequence(
                     circuit=circuit,
                     length=m,
                     seed_index=seed_index,
-                    interleaved=False,
+                    interleaved=interleaved,
                     clifford_indices=indices,
                     recovery_index=recovery_idx,
                     physical_qubits=qubits_tuple,
                 )
             )
-    if interleaved_gate is not None:
-        for seed_index in range(n_seeds):
-            for m in lengths:
-                elements = sampled[(seed_index, m)]
-                indices = tuple(e.index for e in elements)
-                recovery_idx = _recovery_index(group, indices, interleaved_element.index)
-                circuit = None
-                if build_circuits:
-                    circuit = _build_sequence_circuit(
-                        group,
-                        elements,
-                        physical_qubits,
-                        n_circuit_qubits,
-                        interleaved_gate,
-                        interleaved_qubits,
-                        group.element(recovery_idx),
-                        name=f"irb_m{m}_s{seed_index}",
-                    )
-                sequences.append(
-                    RBSequence(
-                        circuit=circuit,
-                        length=m,
-                        seed_index=seed_index,
-                        interleaved=True,
-                        clifford_indices=indices,
-                        recovery_index=recovery_idx,
-                        physical_qubits=qubits_tuple,
-                    )
-                )
     return sequences
 
 

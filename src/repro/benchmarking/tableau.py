@@ -41,7 +41,9 @@ x↔z block swap, followed by one phase back-substitution pass per row.
 
 :class:`CliffordTableauIndex` holds the row/phase arrays of every group
 element in element-index order with their sorted packed keys, for integer
-``compose_index`` / ``inverse_index``.  Its arrays round-trip through
+``compose_index`` / ``inverse_index`` and their array twins
+``compose_indices`` / ``inverse_indices``, which generate and invert whole
+batches of RB sequences in a few gathers.  Its arrays round-trip through
 :mod:`repro.store` so the enumeration is shared across sessions.
 """
 
@@ -403,7 +405,8 @@ class CliffordTableauIndex:
     element-index order, with their packed keys sorted for lookup.
     ``compose_index`` is one scalar tableau composition (a table read for
     one qubit) and ``inverse_index`` a read of a table built in one
-    vectorized pass on first use.
+    vectorized pass on first use.  ``compose_indices`` and
+    ``inverse_indices`` are their twins over int arrays, one gather each.
 
     Parameters
     ----------
@@ -443,18 +446,19 @@ class CliffordTableauIndex:
         if np.any(self._sorted_keys[1:] == self._sorted_keys[:-1]):
             raise ValidationError("tableau keys are not unique across the group")
         self._inverse_table: np.ndarray | None = None
+        self._images: tuple[np.ndarray, np.ndarray] | None = None
         # The 1q group composes through a 24×24 table: a table read is about
-        # ten times cheaper than one tableau composition, and RB composes
-        # once per sampled Clifford.  A 2q table would need 11520² entries.
-        self._compose_table: list[list[int]] | None = None
+        # ten times cheaper than one tableau composition.  A 2q table would
+        # need 11520² entries.
+        self._compose_table: np.ndarray | None = None
         if n_qubits == 1:
             composed = _compose_through(
                 self._rows[:, None],
                 self._phases[:, None],
-                *tableau_images(self._rows, self._phases),
+                *self._image_tables(),
                 np.arange(len(keys))[None, :],
             )
-            self._compose_table = self._indices_of_keys(tableau_keys(*composed)).tolist()
+            self._compose_table = self._indices_of_keys(tableau_keys(*composed))
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows and phases as ``(N, 2n)`` uint8 arrays (for the store)."""
@@ -493,15 +497,55 @@ class CliffordTableauIndex:
     def compose_index(self, first: int, second: int) -> int:
         """Element index of ``second ∘ first`` — integer arithmetic only."""
         if self._compose_table is not None:
-            return self._compose_table[first][second]
+            return int(self._compose_table[first, second])
         return self.index_of_tableau(tableau_compose(self.tableau(first), self.tableau(second)))
 
     def inverse_index(self, index: int) -> int:
         """Element index of the group inverse (table built on first use)."""
+        return int(self._inverses()[index])
+
+    def compose_indices(self, first, second) -> np.ndarray:
+        """Element indices of ``second ∘ first`` over broadcast int arrays.
+
+        The array twin of :meth:`compose_index`: one gather from the
+        compose table for one qubit, one :func:`_compose_through` over the
+        cached image tables plus one key lookup for two.
+
+        Parameters
+        ----------
+        first, second : array_like of int
+            Element indices, broadcast against each other.
+
+        Returns
+        -------
+        ndarray
+            Element indices of the compositions, in the broadcast shape.
+        """
+        first, second = np.broadcast_arrays(np.asarray(first), np.asarray(second))
+        if self._compose_table is not None:
+            return self._compose_table[first, second]
+        rows, phases = _compose_through(
+            self._rows[first], self._phases[first], *self._image_tables(), second
+        )
+        return self._indices_of_keys(tableau_keys(rows, phases))
+
+    def inverse_indices(self, indices) -> np.ndarray:
+        """Element indices of the group inverses of an int array (one gather)."""
+        return self._inverses()[np.asarray(indices)]
+
+    def _image_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`tableau_images` of every element (built on first use)."""
+        images = self._images
+        if images is None:
+            images = self._images = tableau_images(self._rows, self._phases)
+        return images
+
+    def _inverses(self) -> np.ndarray:
+        """Inverse of every element by index (built on first use)."""
         table = self._inverse_table
         if table is None:
             table = self._inverse_table = self._build_inverse_table()
-        return int(table[index])
+        return table
 
     def _build_inverse_table(self) -> np.ndarray:
         """Inverse of every element in one pass, as :func:`tableau_inverse`.
@@ -519,7 +563,7 @@ class CliffordTableauIndex:
         back_rows, back_phases = _compose_through(
             inverse_rows,
             np.zeros_like(inverse_rows),
-            *tableau_images(self._rows, self._phases),
+            *self._image_tables(),
             np.arange(len(self._rows)),
         )
         if np.any(back_rows != 1 << np.arange(two_n)):  # pragma: no cover - guards invalid tableaux

@@ -39,11 +39,11 @@ import numpy as np
 from .clifford import CliffordGroup, clifford_group
 from .engine import clifford_channel_table, used_element_indices
 from .fitting import RBDecayFit, fit_rb_decay
-from .rb import RBSequence, _resolve_experiment_store
+from .rb import RBSequence, _draw_rows, _resolve_experiment_store
 from ..backend.noise import readout_confusion_matrix
 from ..backend.sampling import channel_output_probabilities, sample_measurement
 from ..circuits.circuit import QuantumCircuit
-from ..utils.seeding import default_rng, spawn_rngs
+from ..utils.seeding import default_rng
 from ..utils.validation import ValidationError
 
 __all__ = [
@@ -115,34 +115,33 @@ def xeb_sequences(
         raise ValidationError(f"n_circuits must be >= 1, got {n_circuits}")
     n_circuit_qubits = max(physical_qubits) + 1
     qubits_tuple = tuple(physical_qubits)
+    keys = [(circuit_index, m) for circuit_index in range(n_circuits) for m in depths]
     sequences: list[RBSequence] = []
-    for circuit_index, rng in enumerate(spawn_rngs(seed, n_circuits)):
-        for m in depths:
-            elements = [group.sample(rng) for _ in range(m)]
-            indices = tuple(e.index for e in elements)
-            circuit = None
-            if build_circuits:
-                circuit = QuantumCircuit(
-                    n_circuit_qubits,
-                    n_qubits,
-                    name=f"xeb_m{m}_c{circuit_index}",
-                )
-                for element in elements:
-                    group.append_to_circuit(circuit, element, physical_qubits)
-                    circuit.barrier(*physical_qubits)
-                for clbit, qubit in enumerate(physical_qubits):
-                    circuit.measure(qubit, clbit)
-            sequences.append(
-                RBSequence(
-                    circuit=circuit,
-                    length=m,
-                    seed_index=circuit_index,
-                    interleaved=False,
-                    clifford_indices=indices,
-                    recovery_index=None,
-                    physical_qubits=qubits_tuple,
-                )
+    for (circuit_index, m), row in zip(keys, _draw_rows(seed, n_circuits, depths, len(group))):
+        indices = tuple(row.tolist())
+        circuit = None
+        if build_circuits:
+            circuit = QuantumCircuit(
+                n_circuit_qubits,
+                n_qubits,
+                name=f"xeb_m{m}_c{circuit_index}",
             )
+            for index in indices:
+                group.append_to_circuit(circuit, group.element(index), physical_qubits)
+                circuit.barrier(*physical_qubits)
+            for clbit, qubit in enumerate(physical_qubits):
+                circuit.measure(qubit, clbit)
+        sequences.append(
+            RBSequence(
+                circuit=circuit,
+                length=m,
+                seed_index=circuit_index,
+                interleaved=False,
+                clifford_indices=indices,
+                recovery_index=None,
+                physical_qubits=qubits_tuple,
+            )
+        )
     return sequences
 
 

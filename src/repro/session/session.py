@@ -413,7 +413,7 @@ class Session:
             lock = self._artifact_locks[key]  # created by _artifact above
         with lock:
             used = self._used_indices(consumers)
-            if used:
+            if len(used):
                 start = time.perf_counter()
                 table.ensure(used)
                 self._add_timing(key, time.perf_counter() - start)
@@ -650,7 +650,7 @@ class Session:
             backend, list(qubits), group, store=self._experiment_store()
         )
 
-    def _used_indices(self, consumers) -> set[int]:
+    def _used_indices(self, consumers) -> np.ndarray:
         """Union of group-element indices the consumers' sequences touch.
 
         Regenerates each consumer's sequences (deterministic in its seed,
@@ -663,10 +663,9 @@ class Session:
         """
         from ..benchmarking.engine import used_element_indices
 
-        used: set[int] = set()
-        for spec in consumers:
-            used |= used_element_indices(self._spec_sequences(spec))
-        return used
+        return used_element_indices(
+            [seq for spec in consumers for seq in self._spec_sequences(spec)]
+        )
 
     def _spec_sequences(self, spec) -> list:
         """The (circuit-free) sequences a table-consuming spec replays."""

@@ -206,6 +206,12 @@ def _int_tuple(value) -> tuple[int, ...]:
     return tuple(int(v) for v in value)
 
 
+def _check_distinct_lengths(lengths: tuple[int, ...] | None) -> None:
+    """Reject repeated sequence lengths (an IRB pass pairs one draw per length)."""
+    if lengths is not None and len(set(lengths)) != len(lengths):
+        raise ValidationError(f"sequence lengths must be distinct, got {lengths}")
+
+
 _ENGINES = ("channels", "circuits")
 
 
@@ -509,6 +515,7 @@ class RBSpec(ExperimentSpec):
         object.__setattr__(self, "qubits", _int_tuple(self.qubits))
         if self.lengths is not None:
             object.__setattr__(self, "lengths", _int_tuple(self.lengths))
+        _check_distinct_lengths(self.lengths)
         if len(self.qubits) not in (1, 2):
             raise ValidationError(f"RB supports 1 or 2 qubits, got {self.qubits}")
 
@@ -567,6 +574,7 @@ class IRBSpec(ExperimentSpec):
         object.__setattr__(self, "qubits", _int_tuple(self.qubits))
         if self.lengths is not None:
             object.__setattr__(self, "lengths", _int_tuple(self.lengths))
+        _check_distinct_lengths(self.lengths)
         if len(self.qubits) not in (1, 2):
             raise ValidationError(f"IRB supports 1 or 2 qubits, got {self.qubits}")
         if self.calibration is not None and not isinstance(
@@ -698,6 +706,7 @@ class PurityRBSpec(ExperimentSpec):
         object.__setattr__(self, "qubits", _int_tuple(self.qubits))
         if self.lengths is not None:
             object.__setattr__(self, "lengths", _int_tuple(self.lengths))
+        _check_distinct_lengths(self.lengths)
         if len(self.qubits) not in (1, 2):
             raise ValidationError(
                 f"purity RB supports 1 or 2 qubits, got {self.qubits}"
@@ -758,6 +767,7 @@ class CycleBenchSpec(ExperimentSpec):
         object.__setattr__(self, "qubits", _int_tuple(self.qubits))
         if self.lengths is not None:
             object.__setattr__(self, "lengths", _int_tuple(self.lengths))
+        _check_distinct_lengths(self.lengths)
         expected = 2 if self.gate == "cx" else 1
         if len(self.qubits) != expected:
             raise ValidationError(
