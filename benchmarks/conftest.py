@@ -1,10 +1,11 @@
 """Shared helpers for the benchmark harness.
 
-Every bench regenerates the data behind one table or figure of the paper and
-(a) reports the wall time through pytest-benchmark, (b) prints the
-regenerated rows/series, and (c) writes them to
+Every bench times one subsystem (the RB engine, the store, the session,
+the service, shadow verification) and (a) reports the wall time through
+pytest-benchmark, (b) prints its measured rows, and (c) writes them to
 ``benchmarks/results/<name>.txt`` so the numbers are preserved next to the
-timing output.
+timing output.  The paper's figure and table claims are tier-1 tests
+(``tests/test_paper_claims.py``).
 
 The harness additionally emits ``benchmarks/results/BENCH_rb.json`` — the
 machine-readable summary (per-bench wall clock plus the metrics benches

@@ -52,7 +52,7 @@ class DriftStudyResult:
     metadata: dict = field(default_factory=dict)
 
     def summary(self) -> dict[str, float]:
-        """Aggregate statistics used by EXPERIMENTS.md and the bench output."""
+        """Aggregate statistics of the two strategies over all days."""
         out = {
             "gate": self.gate,
             "n_days": int(self.days.size),

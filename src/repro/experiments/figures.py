@@ -1,14 +1,11 @@
-"""Data generators for every figure of the paper, as declarative specs.
+"""Spec constructors for every figure of the paper.
 
-Each figure is now described by a **spec constructor** (``figN_spec`` /
+Each figure is described by a **spec constructor** (``figN_spec`` /
 ``figN_specs``) returning frozen, serializable
-:mod:`repro.session.specs` objects, and executed through a
-:class:`~repro.session.session.Session` — so submitting several figures
-together shares their preparation (device backends, GRAPE pulses, Clifford
-channel tables) exactly once.  The original ``figN_*`` driver functions are
-preserved as thin wrappers with their historical signatures and
-**bit-identical** return dictionaries; they are deprecated in favour of
-building specs and running them through a session:
+:mod:`repro.session.specs` objects.  Run them through a
+:class:`~repro.session.session.Session`, so that submitting several
+figures together shares their preparation (device backends, GRAPE pulses,
+Clifford channel tables) exactly once:
 
 .. code-block:: python
 
@@ -22,10 +19,12 @@ building specs and running them through a session:
              specs4["custom_irb"], specs4["default_irb"]]
         )  # one montreal backend, one 1q channel table, shared planning
 
-Every legacy driver accepts ``store=``; with a persistent store the
-session's result cache makes a repeated invocation a **warm replay** —
-cached IRB curves and persisted GRAPE pulses are served from the store
-bit-identically instead of re-executing (see ``docs/caching.md``).
+With a persistent store the session's result cache makes a repeated run a
+**warm replay**: cached IRB curves and persisted GRAPE pulses are served
+from the store bit-identically instead of re-executing (see
+``docs/caching.md``).  The histograms of Figs. 3–6 are
+:func:`~repro.experiments.gates.gate_histogram` calls on the session's
+``backend_for(device)`` and ``schedule_for(grape_spec)``.
 
 Figure inventory:
 
@@ -42,14 +41,6 @@ Figure inventory:
 
 from __future__ import annotations
 
-import warnings
-
-from .gates import gate_histogram
-from ..circuits.circuit import QuantumCircuit
-from ..circuits.transpiler import transpile
-from ..pulse.channels import ControlChannel, DriveChannel
-from ..pulse.calibrations import control_channel_index
-from ..session.session import Session
 from ..session.specs import ExperimentSpec, GRAPESpec, IRBSpec
 
 __all__ = [
@@ -61,29 +52,9 @@ __all__ = [
     "fig6_specs",
     "fig7_spec",
     "fig8_specs",
-    "fig1_x_pulses",
-    "fig2_x_schedule",
-    "fig3_x_irb",
-    "fig4_sx_irb",
-    "fig5_h_irb",
-    "fig6_cx_sine_histograms",
-    "fig7_cx_schedule",
-    "fig8_cx_irb",
 ]
 
 
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old}() is deprecated: build specs with {new}() and run them through "
-        "repro.session.Session (see docs/sessions.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# spec constructors
-# --------------------------------------------------------------------------- #
 def fig1_spec(seed: int = 2022) -> GRAPESpec:
     """Fig. 1 spec: the decoherence-aware 105 ns X-gate optimization."""
     return GRAPESpec(
@@ -185,213 +156,3 @@ def fig8_specs(seed: int = 2022, fast: bool = True) -> dict[str, ExperimentSpec]
         "custom_irb": IRBSpec(calibration=grape, **common),
         "default_irb": IRBSpec(calibration=None, **common),
     }
-
-
-# --------------------------------------------------------------------------- #
-# Fig. 1 — pulseoptim output for the X gate
-# --------------------------------------------------------------------------- #
-def fig1_x_pulses(seed: int = 2022, store=None) -> dict:
-    """Initial and optimized control amplitudes for the X gate (two controls).
-
-    .. deprecated:: use :func:`fig1_spec` with a session instead.
-    """
-    _warn_deprecated("fig1_x_pulses", "fig1_spec")
-    spec = fig1_spec(seed)
-    with Session(store=store, num_workers=1, seed=seed) as session:
-        result = session.run(spec)
-    return {
-        "times_ns": result["times_ns"],
-        "initial_x": result["initial_amps"][0],
-        "initial_y": result["initial_amps"][1],
-        "optimized_x": result["final_amps"][0],
-        "optimized_y": result["final_amps"][1],
-        "fid_err": result["fid_err"],
-        "n_iter": result["n_iter"],
-    }
-
-
-# --------------------------------------------------------------------------- #
-# Fig. 2 — custom X schedule + transpile confirmation
-# --------------------------------------------------------------------------- #
-def fig2_x_schedule(seed: int = 2022, store=None) -> dict:
-    """The custom X pulse on drive channel D0 and the transpiled circuit ops.
-
-    .. deprecated:: use :func:`fig2_spec` with a session instead.
-    """
-    _warn_deprecated("fig2_x_schedule", "fig2_spec")
-    spec = fig2_spec(seed)
-    with Session(store=store, num_workers=1, seed=seed) as session:
-        schedule = session.schedule_for(spec)
-        props = session.backend_for(spec.device).properties
-    samples = schedule.channel_samples(DriveChannel(0))
-    # transpile confirmation: the x gate with a custom calibration survives as-is
-    circuit = QuantumCircuit(1)
-    circuit.x(0)
-    circuit.add_calibration("x", (0,), schedule)
-    circuit.measure(0, 0)
-    transpiled = transpile(circuit, coupling=props.coupling)
-    return {
-        "samples_real": samples.real,
-        "samples_imag": samples.imag,
-        "duration_samples": schedule.duration,
-        "duration_ns": schedule.duration * props.dt,
-        "transpiled_ops": transpiled.count_ops(),
-        "custom_gate_preserved": ("x", (0,)) in transpiled.calibrations,
-    }
-
-
-# --------------------------------------------------------------------------- #
-# Figs. 3-5 — single-qubit IRB + histogram figures
-# --------------------------------------------------------------------------- #
-def _irb_figure_from_specs(
-    specs: dict[str, ExperimentSpec],
-    seed: int,
-    num_workers: int,
-    store,
-    histogram_shots: int | None,
-    full_curve_keys: bool,
-) -> dict:
-    """Run a figure's spec triple through one session; legacy dict layout."""
-    grape = specs["grape"]
-    with Session(store=store, num_workers=num_workers, seed=seed) as session:
-        custom, default = session.run_all([specs["custom_irb"], specs["default_irb"]])
-        optimization = session.optimization_for(grape)
-        out: dict = {
-            "optimization_fid_err": optimization.fid_err,
-        }
-        if full_curve_keys:
-            out["duration_ns"] = grape.duration_ns
-        for label, result in (("custom", custom), ("default", default)):
-            out[f"{label}_lengths"] = result["interleaved_lengths"]
-            out[f"{label}_survival"] = result["interleaved_survival_mean"]
-            out[f"{label}_reference_survival"] = result["reference_survival_mean"]
-            out[f"{label}_error_rate"] = result["gate_error"]
-            out[f"{label}_error_rate_std"] = result["gate_error_std"]
-            if full_curve_keys:
-                out[f"{label}_survival_std"] = result["interleaved_survival_std"]
-                out[f"{label}_alpha"] = result["interleaved_alpha"]
-                out[f"{label}_alpha_ref"] = result["reference_alpha"]
-        if histogram_shots:
-            histogram = gate_histogram(
-                session.backend_for(grape.device),
-                grape.gate,
-                grape.qubits,
-                schedule=session.schedule_for(grape),
-                shots=histogram_shots,
-                seed=seed,
-            )
-            out["histogram_counts"] = histogram.get_counts()
-            out["histogram_probabilities"] = histogram.probabilities()
-    return out
-
-
-def fig3_x_irb(seed: int = 2022, fast: bool = True, num_workers: int = 1, store=None) -> dict:
-    """Fig. 3: IRB for the custom (105 ns) vs default X gate + histogram.
-
-    .. deprecated:: use :func:`fig3_specs` with a session instead.
-    """
-    _warn_deprecated("fig3_x_irb", "fig3_specs")
-    return _irb_figure_from_specs(
-        fig3_specs(seed, fast), seed, num_workers, store,
-        histogram_shots=4000, full_curve_keys=True,
-    )
-
-
-def fig4_sx_irb(seed: int = 2022, fast: bool = True, num_workers: int = 1, store=None) -> dict:
-    """Fig. 4: IRB for the custom (162 ns) vs default √X gate + histogram.
-
-    .. deprecated:: use :func:`fig4_specs` with a session instead.
-    """
-    _warn_deprecated("fig4_sx_irb", "fig4_specs")
-    return _irb_figure_from_specs(
-        fig4_specs(seed, fast), seed, num_workers, store,
-        histogram_shots=4000, full_curve_keys=True,
-    )
-
-
-def fig5_h_irb(seed: int = 2022, fast: bool = True, num_workers: int = 1, store=None) -> dict:
-    """Fig. 5: IRB for the custom (267 ns) vs default H gate + histogram.
-
-    .. deprecated:: use :func:`fig5_specs` with a session instead.
-    """
-    _warn_deprecated("fig5_h_irb", "fig5_specs")
-    return _irb_figure_from_specs(
-        fig5_specs(seed, fast), seed, num_workers, store,
-        histogram_shots=4000, full_curve_keys=True,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Fig. 6 — early CX attempts with SINE pulses on boeblingen / rome
-# --------------------------------------------------------------------------- #
-def fig6_cx_sine_histograms(seed: int = 2022, shots: int = 4000, store=None) -> dict:
-    """Fig. 6: |11⟩ populations for the default CX and the SINE-pulse CX.
-
-    The paper ran these early experiments on the retired ibmq_boeblingen and
-    ibmq_rome devices, observed 79% / 87% |11⟩ probability with the optimized
-    SINE pulses, and concluded they offered "little to none improvement".
-
-    .. deprecated:: use :func:`fig6_specs` with a session instead.
-    """
-    _warn_deprecated("fig6_cx_sine_histograms", "fig6_specs")
-    out: dict = {}
-    with Session(store=store, num_workers=1, seed=seed) as session:
-        for device_name, spec in fig6_specs(seed).items():
-            backend = session.backend_for(device_name)
-            schedule = session.schedule_for(spec)
-            optimization = session.optimization_for(spec)
-            custom = gate_histogram(
-                backend, "cx", (0, 1), schedule=schedule, shots=shots, seed=seed
-            )
-            default = gate_histogram(
-                backend, "cx", (0, 1), schedule=None, shots=shots, seed=seed + 1
-            )
-            out[device_name] = {
-                "custom_counts": custom.get_counts(),
-                "default_counts": default.get_counts(),
-                "custom_p11": custom.probability("11"),
-                "default_p11": default.probability("11"),
-                "optimization_fid_err": optimization.fid_err,
-            }
-    return out
-
-
-# --------------------------------------------------------------------------- #
-# Fig. 7 — custom CX schedule (GaussianSquare input) on D0/D1/U0
-# --------------------------------------------------------------------------- #
-def fig7_cx_schedule(seed: int = 2022, store=None) -> dict:
-    """Fig. 7: the optimized CX pulse samples on D0, D1 and U0 of montreal.
-
-    .. deprecated:: use :func:`fig7_spec` with a session instead.
-    """
-    _warn_deprecated("fig7_cx_schedule", "fig7_spec")
-    spec = fig7_spec(seed)
-    with Session(store=store, num_workers=1, seed=seed) as session:
-        schedule = session.schedule_for(spec)
-        optimization = session.optimization_for(spec)
-        props = session.backend_for(spec.device).properties
-    u_index = control_channel_index(props, 0, 1)
-    duration = schedule.duration
-    return {
-        "d0_samples": schedule.channel_samples(DriveChannel(0), duration).real,
-        "d1_samples": schedule.channel_samples(DriveChannel(1), duration).real,
-        "u0_samples": schedule.channel_samples(ControlChannel(u_index), duration).real,
-        "duration_samples": duration,
-        "duration_ns": duration * props.dt,
-        "optimization_fid_err": optimization.fid_err,
-    }
-
-
-# --------------------------------------------------------------------------- #
-# Fig. 8 — CX IRB, custom vs default
-# --------------------------------------------------------------------------- #
-def fig8_cx_irb(seed: int = 2022, fast: bool = True, num_workers: int = 1, store=None) -> dict:
-    """Fig. 8: IRB decay for the custom (1193 ns) vs default CX on montreal.
-
-    .. deprecated:: use :func:`fig8_specs` with a session instead.
-    """
-    _warn_deprecated("fig8_cx_irb", "fig8_specs")
-    return _irb_figure_from_specs(
-        fig8_specs(seed, fast), seed, num_workers, store,
-        histogram_shots=None, full_curve_keys=False,
-    )

@@ -14,23 +14,29 @@ This module reproduces the paper's workflow for one gate:
    pulse :class:`~repro.pulse.schedule.Schedule` on the device channels
    (Fig. 2 / Fig. 7),
 4. **Execution** — attach the schedule as a custom calibration that replaces
-   the default gate, run the state-preparation circuit for the output
-   histogram (Figs. 3–6 bottom panels) and interleaved RB for the error per
-   gate (Figs. 3–5, 8 and Table I).
+   the default gate and run the state-preparation circuit for the output
+   histogram (Figs. 3–6 bottom panels).
+
+The full pipeline — optimize, lower, score the channels, interleaved RB —
+runs as specs through a :class:`~repro.session.session.Session`: a
+:class:`~repro.session.specs.GRAPESpec` for the pulse and its channel
+errors, an :class:`~repro.session.specs.IRBSpec` nesting it for the error
+per gate (Figs. 3–5, 8 and Table I).  This module holds the steps the
+session calls.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..backend.backend import PulseBackend
 from ..backend.result import Result
-from ..benchmarking.irb import InterleavedRBExperiment, InterleavedRBResult
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gate import Gate
 from ..core.parametrization import TimeGrid
@@ -45,30 +51,18 @@ from ..pulse.instructions import Play, ShiftPhase
 from ..pulse.schedule import Schedule
 from ..pulse.shapes import pwc_waveform
 from ..qobj.gates import s_gate, standard_gate_unitary
-from ..qobj.metrics import average_gate_fidelity
 from ..utils.validation import ValidationError
 
 __all__ = [
     "GateExperimentConfig",
-    "GateExperimentResult",
     "optimize_gate_pulse",
     "optimize_gate_pulse_batch",
     "pulse_schedule_from_result",
     "gate_histogram",
-    "run_gate_experiment",
     "SUPPORTED_GATES",
 ]
 
 SUPPORTED_GATES = ("x", "sx", "h", "cx")
-
-#: Expected ideal output distribution (exact, before readout error) of the
-#: state-preparation circuit used for each gate's histogram.
-HISTOGRAM_TARGET_STATE = {
-    "x": {"1": 1.0},
-    "sx": {"0": 0.5, "1": 0.5},
-    "h": {"0": 0.5, "1": 0.5},
-    "cx": {"11": 1.0},
-}
 
 
 @dataclass(frozen=True)
@@ -88,8 +82,8 @@ class GateExperimentConfig:
     include_decoherence: bool = False
     #: Transmon levels in the optimizer's model.  3 (default) makes leakage a
     #: first-class part of the cost via the subspace-restricted fidelity; 2
-    #: reproduces the paper's bare Pauli-control model (see the
-    #: ``ablation_optimizer_levels`` benchmark for the difference).
+    #: reproduces the paper's bare Pauli-control model (the optimizer-levels
+    #: ablation in ``tests/test_paper_claims.py`` compares the two).
     optimizer_levels: int = 3
     init_pulse_type: str = "DRAG"
     init_pulse_scale: float = 0.25
@@ -107,36 +101,10 @@ class GateExperimentConfig:
             raise ValidationError(
                 f"gate {self.gate!r} needs {expected} qubit(s), got {len(self.qubits)}"
             )
-        if self.duration_ns <= 0:
-            raise ValidationError("duration_ns must be > 0")
+        if not math.isfinite(self.duration_ns) or self.duration_ns <= 0:
+            raise ValidationError(f"duration_ns must be finite and > 0, got {self.duration_ns}")
         if self.n_ts < 2:
             raise ValidationError("n_ts must be >= 2")
-
-
-@dataclass
-class GateExperimentResult:
-    """Everything the paper reports for one gate."""
-
-    config: GateExperimentConfig
-    optimization: OptimResult
-    schedule: Schedule
-    custom_channel_error: float
-    default_channel_error: float
-    custom_irb: InterleavedRBResult | None = None
-    default_irb: InterleavedRBResult | None = None
-    custom_histogram: Result | None = None
-    default_histogram: Result | None = None
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def improvement(self) -> float | None:
-        """Relative IRB error improvement of the custom over the default gate."""
-        if self.custom_irb is None or self.default_irb is None:
-            return None
-        default_err = self.default_irb.gate_error
-        if default_err <= 0:
-            return None
-        return 1.0 - self.custom_irb.gate_error / default_err
 
 
 # --------------------------------------------------------------------------- #
@@ -446,86 +414,3 @@ def gate_histogram(
     if schedule is not None:
         circuit.add_calibration(gate, tuple(qubits), schedule)
     return backend.run(circuit, shots=shots, seed=seed)
-
-
-def run_gate_experiment(
-    properties: BackendProperties,
-    config: GateExperimentConfig,
-    backend: PulseBackend | None = None,
-    rb_lengths: Sequence[int] | None = None,
-    rb_seeds: int = 6,
-    shots: int = 1024,
-    histogram_shots: int = 4000,
-    run_irb: bool = True,
-    run_histogram: bool = True,
-    seed: int = 2022,
-) -> GateExperimentResult:
-    """The full paper pipeline for one gate: optimize, lower, benchmark.
-
-    Returns a :class:`GateExperimentResult` with the custom/default channel
-    errors (exact, from the simulated channels), the custom/default IRB
-    summaries and the output histograms.
-    """
-    gate = config.gate.lower()
-    if backend is None:
-        backend = PulseBackend(properties, calibrated_qubits=sorted(set(config.qubits) | {0, 1}), seed=seed)
-    optimization = optimize_gate_pulse(properties, config)
-    schedule = pulse_schedule_from_result(properties, config, optimization)
-
-    target = standard_gate_unitary(gate)
-    custom_channel = backend.simulator.schedule_channel(schedule, qubits=list(config.qubits))
-    custom_error = 1.0 - average_gate_fidelity(custom_channel, target)
-    if gate == "h":
-        # the backend has no standalone default H pulse: the default H is the
-        # transpiled rz-sx-rz sequence, whose error is that of the default sx
-        default_channel = backend.gate_channel("sx", config.qubits)
-        default_error = 1.0 - average_gate_fidelity(default_channel, standard_gate_unitary("sx"))
-    else:
-        default_channel = backend.gate_channel(gate, config.qubits)
-        default_error = 1.0 - average_gate_fidelity(default_channel, target)
-
-    result = GateExperimentResult(
-        config=config,
-        optimization=optimization,
-        schedule=schedule,
-        custom_channel_error=float(custom_error),
-        default_channel_error=float(default_error),
-        metadata={"backend": properties.name},
-    )
-
-    if run_histogram:
-        result.custom_histogram = gate_histogram(
-            backend, gate, config.qubits, schedule=schedule, shots=histogram_shots, seed=seed
-        )
-        result.default_histogram = gate_histogram(
-            backend, gate, config.qubits, schedule=None, shots=histogram_shots, seed=seed + 1
-        )
-
-    if run_irb:
-        irb_gate = "sx" if gate == "h" else gate
-        interleaved_gate = Gate.standard(gate) if gate != "h" else Gate.standard("h")
-        # For H the interleaved gate is H itself (a Clifford); the default
-        # comparison interleaves the transpiled H (rz-sx-rz uses the default sx).
-        custom_exp = InterleavedRBExperiment(
-            backend,
-            interleaved_gate,
-            list(config.qubits),
-            lengths=rb_lengths,
-            n_seeds=rb_seeds,
-            shots=shots,
-            seed=seed,
-            custom_calibration=schedule,
-        )
-        default_exp = InterleavedRBExperiment(
-            backend,
-            interleaved_gate,
-            list(config.qubits),
-            lengths=rb_lengths,
-            n_seeds=rb_seeds,
-            shots=shots,
-            seed=seed,
-            custom_calibration=None,
-        )
-        result.custom_irb = custom_exp.run()
-        result.default_irb = default_exp.run()
-    return result

@@ -3,9 +3,8 @@
 The paper motivates its choice of L-BFGS-B by comparing against SPSA ("we
 found that L-BFGS-B converges faster and gives much smaller fidelity error
 than SPSA") and notes that plain GRAPE and CRAB converge slowly.
-:func:`compare_optimizers` runs the same single-qubit gate-synthesis problem
-under every optimizer and records the convergence history, final infidelity
-and wall time.
+:func:`optimizer_comparison_specs` builds the same single-qubit
+gate-synthesis problem under every optimizer as session specs.
 
 :func:`ablation_open_vs_closed`, :func:`ablation_gradient`, and
 :func:`ablation_duration_sweep` cover the design choices the paper calls out:
@@ -16,7 +15,6 @@ the achieved error (Table I's duration rows / the Discussion section).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +22,6 @@ import numpy as np
 from .gates import GateExperimentConfig, optimize_gate_pulse, pulse_schedule_from_result
 from ..backend.backend import PulseBackend
 from ..core.pulseoptim import optimize_pulse_unitary
-from ..core.result import OptimResult
 from ..devices.library import fake_montreal
 from ..devices.properties import BackendProperties
 from ..devices.transmon import TransmonModel
@@ -34,45 +31,11 @@ from ..session.specs import OPTIMIZER_METHODS, OptimizerSpec
 from ..utils.validation import ValidationError
 
 __all__ = [
-    "OptimizerComparisonResult",
-    "compare_optimizers",
     "optimizer_comparison_specs",
     "ablation_open_vs_closed",
     "ablation_gradient",
     "ablation_duration_sweep",
 ]
-
-DEFAULT_METHODS = ("LBFGS", "GRAPE", "SPSA", "CRAB", "KROTOV", "GOAT")
-
-
-@dataclass
-class OptimizerComparisonResult:
-    """Convergence comparison of the optimizers on the same control problem."""
-
-    gate: str
-    methods: tuple[str, ...]
-    results: dict[str, OptimResult] = field(default_factory=dict)
-
-    def table(self) -> list[dict]:
-        """One summary row per optimizer."""
-        rows = []
-        for method in self.methods:
-            res = self.results[method]
-            rows.append(
-                {
-                    "method": method,
-                    "fid_err": res.fid_err,
-                    "n_iter": res.n_iter,
-                    "n_fun_evals": res.n_fun_evals,
-                    "wall_time_s": res.wall_time,
-                    "termination": res.termination_reason,
-                }
-            )
-        return rows
-
-    def best_method(self) -> str:
-        """Optimizer reaching the lowest final infidelity."""
-        return min(self.results, key=lambda m: self.results[m].fid_err)
 
 
 def _problem(properties: BackendProperties, gate: str, levels: int = 2):
@@ -81,37 +44,6 @@ def _problem(properties: BackendProperties, gate: str, levels: int = 2):
     controls = model.control_hamiltonians()
     target = model.target_unitary(standard_gate_unitary(gate))
     return drift, controls, target
-
-
-def compare_optimizers(
-    gate: str = "x",
-    methods: Sequence[str] = DEFAULT_METHODS,
-    n_ts: int = 12,
-    evo_time: float = 105.0,
-    max_iter: int = 200,
-    properties: BackendProperties | None = None,
-    seed: int = 2022,
-) -> OptimizerComparisonResult:
-    """Run the same gate-synthesis problem under each optimizer."""
-    props = properties or fake_montreal()
-    drift, controls, target = _problem(props, gate)
-    out = OptimizerComparisonResult(gate=gate.lower(), methods=tuple(m.upper() for m in methods))
-    for method in out.methods:
-        result = optimize_pulse_unitary(
-            drift,
-            controls,
-            np.eye(target.shape[0]),
-            target,
-            n_ts=n_ts,
-            evo_time=evo_time,
-            method=method,
-            fid_err_targ=1e-10,
-            max_iter=max_iter,
-            init_pulse_type="DRAG",
-            seed=seed,
-        )
-        out.results[method] = result
-    return out
 
 
 def optimizer_comparison_specs(
@@ -123,19 +55,16 @@ def optimizer_comparison_specs(
     max_iter: int = 200,
     seed: int = 2022,
 ) -> list[OptimizerSpec]:
-    """The optimizer comparison as session specs — one per method.
+    """The Section II optimizer comparison as session specs, one per method.
 
-    Submitting the returned :class:`~repro.session.specs.OptimizerSpec`
-    batch through :meth:`~repro.session.session.Session.run_all` runs the
-    same comparison as :func:`compare_optimizers`, but with everything a
-    spec inherits for free: deduplicated prep, persisted pulses, result
-    caching, traces and HTTP-service submission.  Two conventions differ
-    from the raw driver — specs optimize the device's 3-level transmon
-    restricted to the session's 2-level default here (``optimizer_levels=2``,
-    matching :func:`_problem`) and clamp amplitudes to the session's
-    ``±1/√2`` bound, where the raw driver leaves amplitudes unbounded —
-    so per-method numbers are comparable *within* a path, not across the
-    two paths bit-for-bit.
+    Submit the returned :class:`~repro.session.specs.OptimizerSpec` batch
+    through :meth:`~repro.session.session.Session.run_all`: every method
+    optimizes the same gate on the bare two-level transmon model
+    (``optimizer_levels=2``, as :func:`_problem` builds it) with
+    amplitudes clamped to the session's ``±1/√2`` bound, and each payload
+    carries the final infidelity ``fid_err`` and the iteration count.
+    As specs, the runs get deduplicated prep, persisted pulses, result
+    caching, traces and HTTP-service submission.
     """
     return [
         OptimizerSpec(

@@ -4,8 +4,8 @@ Reproduces the sweep of the paper's Table I: for each gate and pulse
 duration, optimize a custom pulse, benchmark it with interleaved RB against
 the backend default, and report both error rates and the relative
 improvement.  The paper's published values are kept in
-:data:`TABLE1_PAPER_VALUES` so EXPERIMENTS.md (and the bench harness) can
-print the side-by-side comparison.
+:data:`TABLE1_PAPER_VALUES` so :func:`format_table1` can print the
+side-by-side comparison.
 
 Device assignment follows the paper: X, √X and CX on ibmq_montreal, H on
 ibmq_toronto; the default single-qubit gate duration is 32 ns.
@@ -13,17 +13,19 @@ ibmq_toronto; the default single-qubit gate duration is 32 ns.
 The sweep is expressed as declarative specs (:func:`table1_row_specs`)
 executed through one :class:`~repro.session.session.Session`, so all
 montreal rows share a single backend, a single 1q Clifford channel table
-and — for rows nesting the same pulse — a single GRAPE optimization.  The
-results are bit-identical to the pre-session implementation (all
-randomness flows from the explicit seeds).
+and — for rows nesting the same pulse — a single GRAPE optimization.  All
+randomness flows from the explicit seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..utils.validation import ValidationError
+
+if TYPE_CHECKING:
+    from ..session.session import Session
 
 __all__ = [
     "Table1Row",
@@ -159,22 +161,22 @@ def table1_row_specs(row: dict, fast: bool = True, seed: int = 2022) -> dict:
 
 
 def generate_table1(
+    session: Session,
     rows: Sequence[dict] | None = None,
     fast: bool = True,
     seed: int = 2022,
-    store=None,
-    num_workers: int = 1,
-    result_cache: bool | None = None,
 ) -> list[Table1Row]:
-    """Run the Table I sweep through one session; return the measured rows.
+    """Run the Table I sweep as one session batch; return the measured rows.
 
     Every row becomes a spec triple (:func:`table1_row_specs`) and the
-    whole batch runs through a single
-    :class:`~repro.session.session.Session`, so rows on the same device
-    share one backend and one Clifford channel table.
+    whole batch runs through ``session``, so rows on the same device share
+    one backend and one Clifford channel table.
 
     Parameters
     ----------
+    session:
+        The :class:`~repro.session.session.Session` to run the batch on;
+        its store, result cache and process fan-out apply.
     rows:
         Subset of :data:`TABLE1_ROWS` to run (default: all seven rows).
     fast:
@@ -182,47 +184,33 @@ def generate_table1(
         a couple of minutes on a laptop; set False for publication-quality
         statistics.
     seed:
-        Optimization / benchmarking seed (per row, as before).
-    store:
-        Persistent artifact-store selector forwarded to the session
-        (``None`` — the historical behaviour — disables persistence; with
-        a store, re-generating the table is a warm replay: cached rows and
-        persisted pulses are served bit-identically from the store).
-    num_workers:
-        Per-experiment process fan-out forwarded to the session.
-    result_cache:
-        Result-cache switch forwarded to the session (``False`` forces a
-        cold bit-identity run even with a store attached).
+        Optimization / benchmarking seed (per row).
     """
-    from ..session.session import Session
-
     row_dicts = list(rows) if rows is not None else list(TABLE1_ROWS)
     triples = [table1_row_specs(row, fast=fast, seed=seed) for row in row_dicts]
-    out: list[Table1Row] = []
-    with Session(
-        store=store, num_workers=num_workers, seed=seed, result_cache=result_cache
-    ) as session:
-        flat = [
+    results = session.run_all(
+        [
             spec
             for triple in triples
             for spec in (triple["custom_irb"], triple["default_irb"], triple["grape"])
         ]
-        results = session.run_all(flat)
-        for position, row in enumerate(row_dicts):
-            custom, default, grape = results[3 * position : 3 * position + 3]
-            out.append(
-                Table1Row(
-                    gate=row["gate"],
-                    duration_ns=row["duration_ns"],
-                    device=row["device"],
-                    custom_error=custom["gate_error"],
-                    custom_error_std=custom["gate_error_std"],
-                    default_error=default["gate_error"],
-                    default_error_std=default["gate_error_std"],
-                    custom_channel_error=grape["custom_channel_error"],
-                    default_channel_error=grape["default_channel_error"],
-                )
+    )
+    out: list[Table1Row] = []
+    for position, row in enumerate(row_dicts):
+        custom, default, grape = results[3 * position : 3 * position + 3]
+        out.append(
+            Table1Row(
+                gate=row["gate"],
+                duration_ns=row["duration_ns"],
+                device=row["device"],
+                custom_error=custom["gate_error"],
+                custom_error_std=custom["gate_error_std"],
+                default_error=default["gate_error"],
+                default_error_std=default["gate_error_std"],
+                custom_channel_error=grape["custom_channel_error"],
+                default_channel_error=grape["default_channel_error"],
             )
+        )
     return out
 
 

@@ -1,8 +1,8 @@
 """Declarative experiment sessions: specs, planning, execution, results.
 
 The paper's deliverable is a *suite* of experiments (Figs. 1–8, Table I);
-this package is the submission surface that runs such suites as first-class
-workloads instead of ad-hoc driver functions:
+this package is the one way to run them — specs built by the constructors
+in :mod:`repro.experiments`, run by a :class:`Session`:
 
 * :mod:`~repro.session.specs` — frozen, serializable experiment
   specifications (:class:`GRAPESpec`, :class:`OptimizerSpec`,
@@ -20,8 +20,7 @@ workloads instead of ad-hoc driver functions:
 * :mod:`~repro.session.results` — the uniform :class:`ExperimentResult`
   (payload + provenance manifest) with lossless JSON save/load.
 
-See ``docs/sessions.md`` for the full API guide and the migration notes
-from the legacy figure drivers.
+See ``docs/sessions.md`` for the full API guide.
 """
 
 from .planner import (

@@ -1040,7 +1040,6 @@ class Session:
         if gate == "h":
             # no standalone default H pulse exists: the default H transpiles
             # to rz-sx-rz, so its channel error is that of the default sx
-            # (same convention as experiments.gates.run_gate_experiment)
             default_channel = backend.gate_channel("sx", spec.qubits)
             default_error = 1.0 - average_gate_fidelity(
                 default_channel, standard_gate_unitary("sx")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Any, ClassVar
 
@@ -203,7 +204,39 @@ def registered_spec_kinds() -> dict[str, type]:
 
 
 def _int_tuple(value) -> tuple[int, ...]:
-    return tuple(int(v) for v in value)
+    """``value`` as a tuple of ints, refusing anything a cast would change.
+
+    Integral floats such as ``4.0`` pass; ``1.9`` or ``True`` raise instead
+    of becoming ``1``, which would fingerprint as another spec.
+    """
+    out = []
+    for item in value:
+        if isinstance(item, bool) or not (
+            isinstance(item, numbers.Integral)
+            or (isinstance(item, numbers.Real) and float(item).is_integer())
+        ):
+            raise ValidationError(f"expected integers, got {item!r} in {value!r}")
+        out.append(int(item))
+    return tuple(out)
+
+
+def _check_run_fields(spec) -> None:
+    """Reject qubits, lengths, sequence counts and shots no run could use.
+
+    Checks each field the spec has, at construction, so a service request
+    fails validation instead of the queued job.
+    """
+    qubits = spec.qubits
+    if len(set(qubits)) != len(qubits) or any(q < 0 for q in qubits):
+        raise ValidationError(f"qubits must be distinct and non-negative, got {qubits}")
+    for name in ("lengths", "depths"):
+        values = getattr(spec, name, None)
+        if values is not None and any(v < 1 for v in values):
+            raise ValidationError(f"{name} must be >= 1, got {values}")
+    for name in ("n_seeds", "n_circuits", "shots"):
+        value = getattr(spec, name, 1)
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
 def _check_distinct_lengths(lengths: tuple[int, ...] | None) -> None:
@@ -264,11 +297,6 @@ class GRAPESpec(ExperimentSpec):
         object.__setattr__(self, "qubits", _int_tuple(self.qubits))
         # validate eagerly by building the config once
         self.gate_config()
-
-    @classmethod
-    def _convert_fields(cls, payload: dict) -> dict:
-        payload["qubits"] = _int_tuple(payload.get("qubits", (0,)))
-        return payload
 
     def gate_config(self):
         """The equivalent :class:`GateExperimentConfig` (validates fields)."""
@@ -404,7 +432,6 @@ class OptimizerSpec(ExperimentSpec):
 
     @classmethod
     def _convert_fields(cls, payload: dict) -> dict:
-        payload["qubits"] = _int_tuple(payload.get("qubits", (0,)))
         if payload.get("options"):
             payload["options"] = tuple(
                 (name, value) for name, value in payload["options"]
@@ -516,15 +543,9 @@ class RBSpec(ExperimentSpec):
         if self.lengths is not None:
             object.__setattr__(self, "lengths", _int_tuple(self.lengths))
         _check_distinct_lengths(self.lengths)
+        _check_run_fields(self)
         if len(self.qubits) not in (1, 2):
             raise ValidationError(f"RB supports 1 or 2 qubits, got {self.qubits}")
-
-    @classmethod
-    def _convert_fields(cls, payload: dict) -> dict:
-        payload["qubits"] = _int_tuple(payload.get("qubits", (0,)))
-        if payload.get("lengths") is not None:
-            payload["lengths"] = _int_tuple(payload["lengths"])
-        return payload
 
 
 @dataclass(frozen=True)
@@ -575,6 +596,7 @@ class IRBSpec(ExperimentSpec):
         if self.lengths is not None:
             object.__setattr__(self, "lengths", _int_tuple(self.lengths))
         _check_distinct_lengths(self.lengths)
+        _check_run_fields(self)
         if len(self.qubits) not in (1, 2):
             raise ValidationError(f"IRB supports 1 or 2 qubits, got {self.qubits}")
         if self.calibration is not None and not isinstance(
@@ -587,9 +609,6 @@ class IRBSpec(ExperimentSpec):
 
     @classmethod
     def _convert_fields(cls, payload: dict) -> dict:
-        payload["qubits"] = _int_tuple(payload.get("qubits", (0,)))
-        if payload.get("lengths") is not None:
-            payload["lengths"] = _int_tuple(payload["lengths"])
         if payload.get("calibration") is not None:
             calibration = payload["calibration"]
             if not isinstance(calibration, dict) or "kind" not in calibration:
@@ -652,18 +671,10 @@ class XEBSpec(ExperimentSpec):
                 raise ValidationError(
                     f"XEB needs at least 3 depths for the decay fit, got {self.depths}"
                 )
+        _check_run_fields(self)
         if len(self.qubits) not in (1, 2):
             raise ValidationError(f"XEB supports 1 or 2 qubits, got {self.qubits}")
-        if self.n_circuits < 1:
-            raise ValidationError(f"n_circuits must be positive, got {self.n_circuits}")
         _check_engine_field(self.engine)
-
-    @classmethod
-    def _convert_fields(cls, payload: dict) -> dict:
-        payload["qubits"] = _int_tuple(payload.get("qubits", (0,)))
-        if payload.get("depths") is not None:
-            payload["depths"] = _int_tuple(payload["depths"])
-        return payload
 
 
 @dataclass(frozen=True)
@@ -707,18 +718,12 @@ class PurityRBSpec(ExperimentSpec):
         if self.lengths is not None:
             object.__setattr__(self, "lengths", _int_tuple(self.lengths))
         _check_distinct_lengths(self.lengths)
+        _check_run_fields(self)
         if len(self.qubits) not in (1, 2):
             raise ValidationError(
                 f"purity RB supports 1 or 2 qubits, got {self.qubits}"
             )
         _check_engine_field(self.engine)
-
-    @classmethod
-    def _convert_fields(cls, payload: dict) -> dict:
-        payload["qubits"] = _int_tuple(payload.get("qubits", (0,)))
-        if payload.get("lengths") is not None:
-            payload["lengths"] = _int_tuple(payload["lengths"])
-        return payload
 
 
 @dataclass(frozen=True)
@@ -768,6 +773,7 @@ class CycleBenchSpec(ExperimentSpec):
         if self.lengths is not None:
             object.__setattr__(self, "lengths", _int_tuple(self.lengths))
         _check_distinct_lengths(self.lengths)
+        _check_run_fields(self)
         expected = 2 if self.gate == "cx" else 1
         if len(self.qubits) != expected:
             raise ValidationError(
@@ -775,13 +781,6 @@ class CycleBenchSpec(ExperimentSpec):
                 f"got {self.qubits}"
             )
         _check_engine_field(self.engine)
-
-    @classmethod
-    def _convert_fields(cls, payload: dict) -> dict:
-        payload["qubits"] = _int_tuple(payload.get("qubits", (0,)))
-        if payload.get("lengths") is not None:
-            payload["lengths"] = _int_tuple(payload["lengths"])
-        return payload
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Tests for the experiment drivers (gate pipeline, Table I, figures, drift, optimizer comparison).
+"""Tests for the experiment pipeline steps (gate pipeline, Table I, drift, optimizer comparison).
 
 These are integration-level tests; they use reduced sequence lengths, seeds
 and shots so the whole file stays within a couple of minutes, while still
@@ -8,23 +8,21 @@ exercising the full optimize → lower → execute → benchmark pipeline.
 import numpy as np
 import pytest
 
-from repro.backend import PulseBackend
-from repro.devices import fake_montreal
 from repro.experiments import (
     GateExperimentConfig,
-    compare_optimizers,
     gate_histogram,
     generate_table1,
     format_table1,
     optimize_gate_pulse,
+    optimizer_comparison_specs,
     pulse_schedule_from_result,
     run_drift_study,
-    run_gate_experiment,
 )
 from repro.experiments.optimizers import ablation_duration_sweep, ablation_gradient, ablation_open_vs_closed
 from repro.experiments.table1 import TABLE1_PAPER_VALUES, TABLE1_ROWS, Table1Row
 from repro.pulse.channels import ControlChannel, DriveChannel
-from repro.qobj import average_gate_fidelity, cx_gate, x_gate
+from repro.qobj import average_gate_fidelity, x_gate
+from repro.session import GRAPESpec, IRBSpec, Session, spec_from_dict
 from repro.utils.validation import ValidationError
 
 
@@ -36,6 +34,13 @@ class TestGateExperimentConfig:
             GateExperimentConfig(gate="cx", qubits=(0,))
         with pytest.raises(ValidationError):
             GateExperimentConfig(gate="x", qubits=(0,), duration_ns=-1)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ValidationError, match="finite"):
+            GateExperimentConfig(gate="x", qubits=(0,), duration_ns=duration)
+        with pytest.raises(ValidationError, match="finite"):
+            spec_from_dict({"kind": "grape", "duration_ns": duration})
 
 
 class TestGatePipeline:
@@ -85,20 +90,24 @@ class TestGatePipeline:
         assert ControlChannel in kinds and DriveChannel in kinds
         assert opt.fid_err < 1e-3
 
-    def test_run_gate_experiment_end_to_end(self, montreal_props):
-        config = GateExperimentConfig(
-            gate="x", qubits=(0,), duration_ns=56.0, n_ts=8, include_decoherence=False,
-            max_iter=60, seed=11,
+    def test_gate_pipeline_end_to_end(self):
+        grape = GRAPESpec(
+            device="montreal", gate="x", qubits=(0,), duration_ns=56.0, n_ts=8,
+            include_decoherence=False, max_iter=60, seed=11,
         )
-        result = run_gate_experiment(
-            montreal_props, config,
-            rb_lengths=(1, 12, 36, 72), rb_seeds=3, shots=300,
-            histogram_shots=800, seed=11,
-        )
-        assert result.custom_channel_error < result.default_channel_error
-        assert result.custom_irb is not None and result.default_irb is not None
-        assert result.custom_histogram.probability("1") > 0.8
-        assert result.improvement is not None
+        irb = dict(device="montreal", gate="x", qubits=(0,), lengths=(1, 12, 36, 72),
+                   n_seeds=3, shots=300, seed=11)
+        with Session(store=None, num_workers=1) as session:
+            pulse, custom, default = session.run_all(
+                [grape, IRBSpec(calibration=grape, **irb), IRBSpec(calibration=None, **irb)]
+            )
+            histogram = gate_histogram(
+                session.backend_for("montreal"), "x", (0,),
+                schedule=session.schedule_for(grape), shots=800, seed=11,
+            )
+        assert pulse["custom_channel_error"] < pulse["default_channel_error"]
+        assert np.isfinite(custom["gate_error"]) and default["gate_error"] > 0
+        assert histogram.probability("1") > 0.8
 
 
 class TestTable1:
@@ -107,7 +116,8 @@ class TestTable1:
         assert len(TABLE1_ROWS) == 7
 
     def test_single_row_generation_and_formatting(self):
-        rows = generate_table1(rows=[TABLE1_ROWS[1]], fast=True, seed=5)
+        with Session(store=None, num_workers=1) as session:
+            rows = generate_table1(session, rows=[TABLE1_ROWS[1]], fast=True, seed=5)
         assert len(rows) == 1
         row = rows[0]
         assert isinstance(row, Table1Row)
@@ -135,13 +145,14 @@ class TestDriftStudy:
 
 class TestOptimizerComparison:
     def test_lbfgs_wins_over_spsa(self):
-        comp = compare_optimizers(
-            gate="x", methods=("LBFGS", "SPSA"), n_ts=8, evo_time=80.0, max_iter=120, seed=3
+        specs = optimizer_comparison_specs(
+            gate="x", methods=("lbfgs", "spsa"), n_ts=8, duration_ns=80.0, max_iter=120, seed=3
         )
-        assert comp.results["LBFGS"].fid_err < comp.results["SPSA"].fid_err
-        assert comp.best_method() == "LBFGS"
-        rows = comp.table()
-        assert {r["method"] for r in rows} == {"LBFGS", "SPSA"}
+        assert [spec.method for spec in specs] == ["lbfgs", "spsa"]
+        with Session(store=None, num_workers=1) as session:
+            lbfgs, spsa = session.run_all(specs)
+        assert lbfgs["fid_err"] < spsa["fid_err"]
+        assert spsa["method"] == "SPSA" and spsa["n_fun_evals"] > 0
 
     def test_ablation_gradient(self):
         out = ablation_gradient(n_ts=8, duration_ns=80.0)

@@ -267,6 +267,17 @@ class TestServiceRoundTrip:
             assert client.jobs() == []
             assert client.store_stats()["stats"]["results"]["writes"] == 0
 
+    def test_unrunnable_spec_is_rejected_before_queueing(self, tmp_path, store):
+        with _service(tmp_path, store, workers=0) as service:
+            client = ServiceClient(service.url)
+            for bad in ({"shots": 0}, {"n_seeds": 0}, {"lengths": [0, 4, 8]},
+                        {"qubits": [0, 0]}, {"lengths": [1.9, 4, 8, 16]}):
+                with pytest.raises(ServiceError) as err:
+                    client.submit({"kind": "rb", **bad})
+                assert err.value.status == 400
+            # nothing reached the queue
+            assert client.jobs() == []
+
     def test_failed_job_reports_the_error(self, tmp_path, store):
         bad = RBSpec(**{**FAST_RB, "qubits": (5,)})  # valid spec, uncalibrated qubit
         with _service(tmp_path, store) as service:

@@ -111,6 +111,50 @@ class TestSpecRoundTrips:
         with pytest.raises(ValidationError):
             IRBSpec(calibration="not-a-spec", **FAST_IRB)  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize(
+        "kind, field, values",
+        [
+            ("rb", "lengths", [1.9, 4, 8, 16]),
+            ("irb", "lengths", [1, 4, True, 16]),
+            ("purity_rb", "lengths", [1, 4.5, 8]),
+            ("cycle", "lengths", [1, 2, "4"]),
+            ("xeb", "depths", [1, 2.5, 4]),
+            ("rb", "qubits", [0.7]),
+            ("irb", "qubits", [True]),
+        ],
+    )
+    def test_integer_fields_refuse_lossy_coercion(self, kind, field, values):
+        # a truncated 1.9 -> 1 would fingerprint as another spec's workload
+        with pytest.raises(ValidationError, match="integers"):
+            spec_from_dict({"kind": kind, field: values})
+
+    def test_integral_floats_are_accepted(self):
+        spec = spec_from_dict({"kind": "rb", "qubits": [0.0], "lengths": [1.0, 4.0, 8]})
+        assert spec.qubits == (0,) and spec.lengths == (1, 4, 8)
+        assert spec == RBSpec(qubits=(0,), lengths=(1, 4, 8))
+        xeb = spec_from_dict({"kind": "xeb", "depths": [1, 2.0, 4]})
+        assert xeb.depths == (1, 2, 4)
+
+    @pytest.mark.parametrize(
+        "kind, bad",
+        [
+            pytest.param(kind, bad, id=f"{kind}-{label}")
+            for kind in ("rb", "irb", "purity_rb", "cycle")
+            for label, bad in (
+                ("zero-shots", {"shots": 0}),
+                ("zero-seeds", {"n_seeds": 0}),
+                ("zero-length", {"lengths": [0, 4, 8]}),
+                ("repeated-qubit", {"qubits": [0, 0]}),
+                ("negative-qubit", {"qubits": [-1]}),
+            )
+            # purity RB computes purities exactly and has no shots field
+            if not (kind == "purity_rb" and "shots" in bad)
+        ],
+    )
+    def test_run_fields_validated_at_construction(self, kind, bad):
+        with pytest.raises(ValidationError):
+            spec_from_dict({"kind": kind, **bad})
+
 
 class TestPlanner:
     def test_overlapping_specs_share_table_backend_group(self):
