@@ -24,6 +24,7 @@ machinery compose.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,11 @@ class PulseSimulator:
     :attr:`properties` is swapped for a drifted snapshot (the properties
     fingerprint is part of the freshness check), and can be dropped
     explicitly via :meth:`invalidate_cache`.
+
+    The cache is safe to share between threads: each key is simulated once.
+    The first thread to miss a key leaves a pending entry and simulates it;
+    later threads asking for that key wait for its result, while threads
+    asking for other keys simulate concurrently.
     """
 
     def __init__(self, properties: BackendProperties, options: SimulationOptions | None = None):
@@ -108,6 +114,12 @@ class PulseSimulator:
         self._cache_props_fp: str = properties.fingerprint()
         self._cache_hits: int = 0
         self._cache_misses: int = 0
+        #: Guards the cache dict, the counters and :attr:`_pending`; never
+        #: held while a schedule is simulated.
+        self._cache_lock = threading.Lock()
+        #: Keys being simulated right now -> set when their entry is cached
+        #: (or their simulation failed).
+        self._pending: dict[tuple, threading.Event] = {}
 
     # ------------------------------------------------------------------ #
     # channel cache
@@ -189,16 +201,31 @@ class PulseSimulator:
             )
         self._check_cache_freshness()
         key = (schedule.fingerprint(), tuple(qubits), repr(self.options))
-        cached = self._channel_cache.get(key)
-        if cached is not None:
-            self._cache_hits += 1
-            return cached
-        self._cache_misses += 1
-        if len(qubits) == 1:
-            channel = self._single_qubit_channel(schedule, qubits[0])
-        else:
-            channel = self._two_qubit_channel(schedule, qubits)
-        self._channel_cache[key] = channel
+        while True:
+            with self._cache_lock:
+                cached = self._channel_cache.get(key)
+                if cached is not None:
+                    self._cache_hits += 1
+                    return cached
+                pending = self._pending.get(key)
+                if pending is None:
+                    pending = self._pending[key] = threading.Event()
+                    self._cache_misses += 1
+                    break
+            # another thread simulates this key; a failed simulation leaves
+            # no entry, and the next pass simulates it here
+            pending.wait()
+        try:
+            if len(qubits) == 1:
+                channel = self._single_qubit_channel(schedule, qubits[0])
+            else:
+                channel = self._two_qubit_channel(schedule, qubits)
+            with self._cache_lock:
+                self._channel_cache[key] = channel
+        finally:
+            with self._cache_lock:
+                del self._pending[key]
+            pending.set()
         return channel
 
     def schedule_unitary(self, schedule: Schedule, qubits: list[int] | None = None) -> np.ndarray:

@@ -4,8 +4,8 @@ These are pure functions of plain arrays so that (a) the circuit path in
 :class:`~repro.backend.backend.PulseBackend` and (b) the batched
 randomized-benchmarking executor in :mod:`repro.benchmarking.engine` sample
 through *exactly* the same code — survival probabilities agree to floating
-point between the two execution paths — and so that worker processes of
-``parallel_map`` can sample without pickling a whole backend.
+point between the two execution paths — and so that process-pool workers
+can sample without pickling a whole backend.
 """
 
 from __future__ import annotations

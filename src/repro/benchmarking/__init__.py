@@ -17,8 +17,8 @@ calibrated gates.  This package implements the full stack from scratch:
 * :mod:`~repro.benchmarking.engine` — the batched execution engine: cached
   per-Clifford superoperator channels composed as stacked matmuls over
   each group of equal-length sequences (instead of re-executing every
-  circuit gate-by-gate) with an optional process-pool fan-out over those
-  length groups,
+  circuit gate-by-gate), with each RB curve composed, sampled and fitted
+  as one call on the process pool,
 * :mod:`~repro.benchmarking.tableau` — the symplectic-tableau Clifford
   composer: composition and inversion as integer arithmetic on packed
   binary tableaux instead of matrix products,

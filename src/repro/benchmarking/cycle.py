@@ -203,7 +203,8 @@ def run_cycle_benchmark(
         ``"channels"`` or ``"circuits"`` (see
         :func:`~repro.benchmarking.rb.execute_rb_sequences`).
     num_workers : int
-        Process fan-out of the channels engine.
+        Process-pool size of the channels engine, which runs the curve as
+        one pool call.
     store : optional
         Persistent channel-store selector.
 

@@ -21,9 +21,12 @@ This engine instead:
    present, recovery last, the operand order of a per-sequence loop — and
    samples every sequence through the same :mod:`repro.backend.sampling`
    pipeline and per-sequence seeds as the circuit path,
-4. fans the length groups out over a process pool via
-   :func:`repro.utils.parallel.parallel_map` (``num_workers`` knob; one
-   worker runs them inline).
+4. runs one RB *curve* (every length group of one experiment pass) as one
+   call on the persistent process pool via
+   :func:`repro.utils.parallel.pool_submit`: the worker composes every
+   group, samples every sequence and, for :func:`fit_sequences_with_channels`,
+   fits the decay, so the calling process only prepares the call and waits
+   (``num_workers`` knob; one worker runs the call inline).
 
 Tables are cached on the backend instance and invalidated together with the
 backend's gate-channel cache when the device properties drift.
@@ -33,12 +36,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .clifford import CliffordElement, CliffordGroup
+from .rb import RBResult, _fit_survivals, _sequence_fields
 from ..backend.noise import readout_confusion_matrix
 from ..backend.sampling import channel_output_probabilities, sample_measurement
 from ..circuits.circuit import QuantumCircuit
@@ -46,7 +49,7 @@ from ..circuits.gate import Gate
 from ..circuits.transpiler import transpile
 from ..pulse.schedule import Schedule
 from ..store import ChannelTableHandle, resolve_store
-from ..utils.parallel import parallel_map
+from ..utils.parallel import pool_submit
 from ..utils.seeding import default_rng
 from ..utils.validation import ValidationError
 
@@ -55,6 +58,7 @@ __all__ = [
     "clifford_channel_table",
     "interleaved_gate_channel",
     "execute_sequences_with_channels",
+    "fit_sequences_with_channels",
     "used_element_indices",
 ]
 
@@ -96,7 +100,7 @@ class CliffordChannelTable:
     With a persistent ``store`` attached, previously materialized channels
     are served from a read-only memory map of the on-disk table (one
     kernel-page-cache copy shared by every process of a ``num_workers``
-    fan-out), and freshly built channels are merged back via
+    pool), and freshly built channels are merged back via
     :meth:`flush` — warm sessions skip the per-element transpile entirely.
 
     Parameters
@@ -356,22 +360,26 @@ def interleaved_gate_channel(
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class _LengthGroup:
-    """The sequences of one (length, interleaved) pair as arrays (picklable)."""
+    """The sequences of one (length, interleaved) pair as arrays (picklable).
+
+    ``positions`` are the sequences' places in the caller's input order.
+    """
 
     indices: np.ndarray
     recovery: np.ndarray
     interleaved: bool
     sample_seeds: tuple[int, ...]
     names: tuple[str, ...]
+    positions: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class _EngineContext:
-    """Shared, picklable execution context for the length-group workers.
+    """Shared, picklable execution context of one curve's pool call.
 
     Exactly one of ``channels`` (a dense ``(ids, channels)`` pair of the
-    used elements, pickled to every worker) and ``handle`` (a
-    :class:`ChannelTableHandle` whose arrays the workers memory-map
+    used elements, pickled with the call) and ``handle`` (a
+    :class:`ChannelTableHandle` whose arrays the worker memory-maps
     locally, sharing the kernel page cache) is set.
     """
 
@@ -428,6 +436,109 @@ def _run_length_group(context: _EngineContext, group: _LengthGroup) -> list[floa
     return survivals
 
 
+def _survivals(context: _EngineContext, groups: list[_LengthGroup]) -> list[float]:
+    """Every group's survivals, scattered back to input order (pool-call body)."""
+    survivals = [0.0] * sum(len(group.positions) for group in groups)
+    for group in groups:
+        for position, value in zip(group.positions, _run_length_group(context, group)):
+            survivals[position] = value
+    return survivals
+
+
+def _fitted_curve(
+    context: _EngineContext,
+    groups: list[_LengthGroup],
+    lengths: np.ndarray,
+    seed_indices: np.ndarray,
+    n_qubits: int,
+    fixed_asymptote: float | None,
+) -> RBResult:
+    """Compose, sample and fit one curve (pool-call body)."""
+    survivals = _survivals(context, groups)
+    return _fit_survivals(lengths, seed_indices, survivals, n_qubits, fixed_asymptote)
+
+
+def _prepare(
+    backend,
+    sequences,
+    physical_qubits: Sequence[int],
+    shots: int,
+    group: CliffordGroup,
+    interleaved_gate: Gate | None,
+    interleaved_calibration: Schedule | None,
+    seed,
+    store,
+) -> tuple[_EngineContext, list[_LengthGroup]]:
+    """The parent-side half of an execution: context and length groups.
+
+    Validates the sequences, resolves the interleaved gate's channel,
+    draws the per-sequence sample seeds and makes sure every used table
+    element is reachable by the worker (persisted and memory-mapped with
+    a store, stacked into the context without one).
+    """
+    physical_qubits = [int(q) for q in physical_qubits]
+    table = clifford_channel_table(backend, physical_qubits, group, store=store)
+    needs_interleaved = any(seq.interleaved for seq in sequences)
+    inter_channel = None
+    if needs_interleaved:
+        if interleaved_gate is None:
+            raise ValidationError(
+                "interleaved sequences require the interleaved gate to be passed explicitly"
+            )
+        inter_channel = interleaved_gate_channel(
+            backend, interleaved_gate, physical_qubits, calibration=interleaved_calibration
+        )
+    if any(seq.recovery_index is None for seq in sequences):
+        raise ValidationError(
+            "sequence is missing its recovery index; regenerate it with rb_sequences()"
+        )
+    # one seed per sequence, drawn in sequence order (matches the loop path)
+    sample_seeds = default_rng(seed).integers(2**31 - 1, size=len(sequences)).tolist()
+    members: dict[tuple[int, bool], list[int]] = {}
+    for position, seq in enumerate(sequences):
+        members.setdefault((len(seq.clifford_indices), bool(seq.interleaved)), []).append(position)
+    groups = []
+    for (_, interleaved), positions in members.items():
+        chosen = [sequences[p] for p in positions]
+        groups.append(
+            _LengthGroup(
+                indices=np.array([seq.clifford_indices for seq in chosen], dtype=np.int64),
+                recovery=np.array([seq.recovery_index for seq in chosen], dtype=np.int64),
+                interleaved=interleaved,
+                sample_seeds=tuple(sample_seeds[p] for p in positions),
+                names=tuple(
+                    f"{'irb' if seq.interleaved else 'rb'}_m{seq.length}_s{seq.seed_index}"
+                    for seq in chosen
+                ),
+                positions=tuple(positions),
+            )
+        )
+    used = np.unique(np.concatenate([np.append(g.indices, g.recovery) for g in groups]))
+    handle = None
+    if table.store is not None:
+        table.ensure(used)
+        handle = table.handle()
+        # A concurrent cold-start on the same key may have won the
+        # manifest race with a generation missing some of our elements
+        # (merges are last-writer-wins); only ship the handle when it
+        # covers the workload, else fall back to a stack of the channels.
+        if handle is not None and not np.isin(used, handle.table()[0]).all():
+            handle = None
+    context = _EngineContext(
+        channels=None if handle is not None else (used, table.stack(used)),
+        handle=handle,
+        interleaved_channel=inter_channel,
+        active=tuple(table.active),
+        measured=tuple((int(q), clbit) for clbit, q in enumerate(physical_qubits)),
+        confusion=readout_confusion_matrix(
+            [backend.properties.qubit(q) for q in physical_qubits]
+        ),
+        shots=int(shots),
+        backend_name=backend.name,
+    )
+    return context, groups
+
+
 def execute_sequences_with_channels(
     backend,
     sequences,
@@ -466,13 +577,14 @@ def execute_sequences_with_channels(
     seed : optional
         Seed of the per-sequence sampling-seed stream.
     num_workers : int
-        Process fan-out over length groups (see
-        :func:`repro.utils.parallel.parallel_map`).
+        Size of the persistent process pool the length groups are composed
+        and sampled on, as one call (see
+        :func:`repro.utils.parallel.pool_submit`; ``1`` runs them inline).
     store : optional
         Persistent channel-store selector (``"auto"``, path, store
         instance, ``False`` or ``None`` = inherit the backend's default).
         With a store, used channels are persisted before dispatch and the
-        workers memory-map them instead of receiving pickled copies.
+        worker memory-maps them instead of receiving pickled copies.
 
     Returns
     -------
@@ -481,68 +593,60 @@ def execute_sequences_with_channels(
     """
     if not sequences:
         return []
-    physical_qubits = [int(q) for q in physical_qubits]
-    table = clifford_channel_table(backend, physical_qubits, group, store=store)
-    needs_interleaved = any(seq.interleaved for seq in sequences)
-    inter_channel = None
-    if needs_interleaved:
-        if interleaved_gate is None:
-            raise ValidationError(
-                "interleaved sequences require the interleaved gate to be passed explicitly"
-            )
-        inter_channel = interleaved_gate_channel(
-            backend, interleaved_gate, physical_qubits, calibration=interleaved_calibration
-        )
-    if any(seq.recovery_index is None for seq in sequences):
-        raise ValidationError(
-            "sequence is missing its recovery index; regenerate it with rb_sequences()"
-        )
-    # one seed per sequence, drawn in sequence order (matches the loop path)
-    sample_seeds = default_rng(seed).integers(2**31 - 1, size=len(sequences)).tolist()
-    members: dict[tuple[int, bool], list[int]] = {}
-    for position, seq in enumerate(sequences):
-        members.setdefault((len(seq.clifford_indices), bool(seq.interleaved)), []).append(position)
-    jobs = []
-    for (_, interleaved), positions in members.items():
-        chosen = [sequences[p] for p in positions]
-        jobs.append(
-            _LengthGroup(
-                indices=np.array([seq.clifford_indices for seq in chosen], dtype=np.int64),
-                recovery=np.array([seq.recovery_index for seq in chosen], dtype=np.int64),
-                interleaved=interleaved,
-                sample_seeds=tuple(sample_seeds[p] for p in positions),
-                names=tuple(
-                    f"{'irb' if seq.interleaved else 'rb'}_m{seq.length}_s{seq.seed_index}"
-                    for seq in chosen
-                ),
-            )
-        )
-    used = np.unique(np.concatenate([np.append(job.indices, job.recovery) for job in jobs]))
-    handle = None
-    if table.store is not None:
-        table.ensure(used)
-        handle = table.handle()
-        # A concurrent cold-start on the same key may have won the
-        # manifest race with a generation missing some of our elements
-        # (merges are last-writer-wins); only ship the handle when it
-        # covers the workload, else fall back to a stack of the channels.
-        if handle is not None and not np.isin(used, handle.table()[0]).all():
-            handle = None
-    context = _EngineContext(
-        channels=None if handle is not None else (used, table.stack(used)),
-        handle=handle,
-        interleaved_channel=inter_channel,
-        active=tuple(table.active),
-        measured=tuple((int(q), clbit) for clbit, q in enumerate(physical_qubits)),
-        confusion=readout_confusion_matrix(
-            [backend.properties.qubit(q) for q in physical_qubits]
-        ),
-        shots=int(shots),
-        backend_name=backend.name,
+    context, groups = _prepare(
+        backend, sequences, physical_qubits, shots, group,
+        interleaved_gate, interleaved_calibration, seed, store,
     )
-    results = parallel_map(partial(_run_length_group, context), jobs, num_workers=num_workers)
-    survivals = [0.0] * len(sequences)
-    for positions, values in zip(members.values(), results):
-        for position, value in zip(positions, values):
-            survivals[position] = value
-    return survivals
+    return pool_submit(_survivals, context, groups, num_workers=num_workers).result()
+
+
+def fit_sequences_with_channels(
+    backend,
+    sequences,
+    physical_qubits: Sequence[int],
+    shots: int,
+    group: CliffordGroup,
+    fixed_asymptote: float | None = None,
+    interleaved_gate: Gate | None = None,
+    interleaved_calibration: Schedule | None = None,
+    seed=None,
+    num_workers: int = 1,
+    store=None,
+) -> RBResult:
+    """Execute one RB curve's sequences and fit its decay in one pool call.
+
+    The sequences are prepared exactly as by
+    :func:`execute_sequences_with_channels`; the pool worker then composes
+    and samples every length group and fits ``A·α^m + B`` to the survivals,
+    so only the fitted :class:`~repro.benchmarking.rb.RBResult` comes back.
+    The result equals fitting the survivals of
+    :func:`execute_sequences_with_channels` in the calling process, at any
+    ``num_workers``.
+
+    Parameters
+    ----------
+    backend, sequences, physical_qubits, shots, group
+        As for :func:`execute_sequences_with_channels`; ``sequences`` must
+        not be empty.
+    fixed_asymptote : float, optional
+        Fixed asymptote ``B`` of the decay fit (``None`` fits it).
+    interleaved_gate, interleaved_calibration, seed, num_workers, store
+        As for :func:`execute_sequences_with_channels`.
+
+    Returns
+    -------
+    RBResult
+        Per-length means and spreads, per-sequence survivals and the fit.
+    """
+    if not sequences:
+        raise ValidationError("no RB sequences to execute")
+    context, groups = _prepare(
+        backend, sequences, physical_qubits, shots, group,
+        interleaved_gate, interleaved_calibration, seed, store,
+    )
+    lengths, seed_indices = _sequence_fields(sequences)
+    call = pool_submit(
+        _fitted_curve, context, groups, lengths, seed_indices, group.n_qubits,
+        fixed_asymptote, num_workers=num_workers,
+    )
+    return call.result()

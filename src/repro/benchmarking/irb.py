@@ -139,7 +139,8 @@ class InterleavedRBExperiment:
     engine : str
         ``"channels"`` (batched engine, default) or ``"circuits"``.
     num_workers : int
-        Process fan-out of the channel engine.
+        Process-pool size of the channel engine, which runs each of the
+        two curves as one pool call.
     store : optional
         Persistent Clifford-store selector (``"auto"`` | path | store |
         ``False`` | ``None`` = inherit the backend's ``channel_store``).

@@ -374,8 +374,9 @@ class RBExperiment:
         path).  Both produce identical survival statistics up to float
         tolerance.
     num_workers:
-        Fan sequences out over a process pool (``1`` = serial, ``0`` = all
-        available CPUs, see :func:`repro.utils.parallel.parallel_map`).
+        Size of the process pool the curve is composed, sampled and fitted
+        on, as one call (``1`` = inline, ``0`` = all available CPUs, see
+        :func:`repro.utils.parallel.pool_submit`).
     store:
         Persistent Clifford-store selector: ``"auto"`` (default cache
         directory), a directory path, a
@@ -459,34 +460,46 @@ StandardRB = RBExperiment
 
 
 def _fit_survivals(
-    sequences: list[RBSequence],
+    lengths: np.ndarray,
+    seed_indices: np.ndarray,
     survivals: Sequence[float],
     n_qubits: int,
     fixed_asymptote: float | None,
 ) -> RBResult:
-    """Aggregate per-sequence survivals and fit the RB decay."""
-    per_length: dict[int, list[float]] = {}
-    per_sequence: list[tuple[int, int, float]] = []
-    for seq, survival in zip(sequences, survivals):
-        per_length.setdefault(seq.length, []).append(float(survival))
-        per_sequence.append((seq.length, seq.seed_index, float(survival)))
-    lengths = np.array(sorted(per_length), dtype=float)
-    means = np.array([np.mean(per_length[int(m)]) for m in lengths])
-    stds = np.array([np.std(per_length[int(m)]) for m in lengths])
+    """Aggregate per-sequence survivals and fit the RB decay.
+
+    ``lengths``, ``seed_indices`` and ``survivals`` hold one entry per
+    sequence, in execution order; each length's mean and spread are taken
+    over its sequences in that order.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    survivals = np.asarray(survivals, dtype=float)
+    per_sequence = list(zip(lengths.tolist(), np.asarray(seed_indices).tolist(), survivals.tolist()))
+    distinct = np.unique(lengths)
+    means = np.array([np.mean(survivals[lengths == m]) for m in distinct])
+    stds = np.array([np.std(survivals[lengths == m]) for m in distinct])
+    distinct = distinct.astype(float)
     fit = fit_rb_decay(
-        lengths,
+        distinct,
         means,
         survival_stds=stds if np.all(stds > 0) else None,
         p_asymptote=fixed_asymptote,
     )
     return RBResult(
-        lengths=lengths,
+        lengths=distinct,
         survival_mean=means,
         survival_std=stds,
         fit=fit,
         n_qubits=n_qubits,
         per_sequence=per_sequence,
     )
+
+
+def _sequence_fields(sequences: list[RBSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(lengths, seed_indices)`` arrays :func:`_fit_survivals` takes."""
+    lengths = np.array([seq.length for seq in sequences], dtype=np.int64)
+    seed_indices = np.array([seq.seed_index for seq in sequences], dtype=np.int64)
+    return lengths, seed_indices
 
 
 def execute_rb_sequences(
@@ -528,22 +541,22 @@ def execute_rb_sequences(
         and (interleaved_gate is not None or not any(s.interleaved for s in sequences))
     )
     if use_channels:
-        from .engine import execute_sequences_with_channels
+        from .engine import fit_sequences_with_channels
 
         qubits = list(physical_qubits if physical_qubits is not None else sequences[0].physical_qubits)
-        survivals = execute_sequences_with_channels(
+        return fit_sequences_with_channels(
             backend,
             sequences,
             qubits,
             shots,
             clifford_group(n_qubits, store=store),
+            fixed_asymptote=fixed_asymptote,
             interleaved_gate=interleaved_gate,
             interleaved_calibration=interleaved_calibration,
             seed=seed,
             num_workers=num_workers,
             store=store,
         )
-        return _fit_survivals(sequences, survivals, n_qubits, fixed_asymptote)
     rng = default_rng(seed)
     survivals = []
     for seq in sequences:
@@ -557,4 +570,4 @@ def execute_rb_sequences(
                 circuit.add_calibration(name, qubits, sched)
         result = backend.run(circuit, shots=shots, seed=int(rng.integers(2**31 - 1)))
         survivals.append(result.ground_state_population())
-    return _fit_survivals(sequences, survivals, n_qubits, fixed_asymptote)
+    return _fit_survivals(*_sequence_fields(sequences), survivals, n_qubits, fixed_asymptote)

@@ -1,12 +1,14 @@
 """Process-pool map helper for embarrassingly parallel work.
 
-RB sequence execution fans out over :func:`parallel_map`.  The helper runs
-serially at ``num_workers=1``; ``num_workers > 1`` (or ``0`` = every CPU)
-maps over a process pool.  A default :class:`~repro.session.Session` uses
-``num_workers=0``, so its RB specs fan out; pass ``num_workers=1`` for a
-serial, easy-to-profile run.
+:func:`parallel_map` maps a function over items and :func:`pool_submit`
+runs one call; both run serially at ``num_workers=1``, while
+``num_workers > 1`` (or ``0`` = every CPU) uses a process pool.  Each RB
+curve (compose, sample, fit) is one :func:`pool_submit` call.  A default
+:class:`~repro.session.Session` uses ``num_workers=0``, so its RB curves
+run in pool workers; pass ``num_workers=1`` for a serial, easy-to-profile
+run.
 
-The pool is **persistent**: repeated ``parallel_map`` calls with the same
+The pool is **persistent**: repeated calls with the same
 worker count reuse one module-level :class:`ProcessPoolExecutor` instead of
 re-spawning workers per call.  Worker startup (fork + interpreter/numpy
 warm-up) costs tens to hundreds of milliseconds, which used to dominate

@@ -14,7 +14,7 @@ from repro.benchmarking.engine import clifford_channel_table
 from repro.benchmarking.rb import rb_circuits, rb_sequences
 from repro.circuits.gate import Gate
 from repro.devices import fake_montreal
-from repro.pulse.calibrations import default_drag_x
+from repro.pulse.calibrations import default_cx_schedule, default_drag_x
 from repro.solvers.expm_utils import (
     expm_batch,
     expm_frechet_batch,
@@ -178,6 +178,55 @@ class TestChannelCache:
         info = sim.cache_info()
         assert info["hits"] == 1 and info["misses"] == 1
         assert second is first
+
+    def test_concurrent_requests_simulate_a_schedule_once(self, montreal_props):
+        """Threads asking for one uncached schedule at once share one simulation."""
+        import sys
+        import threading
+
+        sim = PulseSimulator(montreal_props)
+        sched = default_cx_schedule(montreal_props, 0, 1)
+        n_threads = 4
+        barrier = threading.Barrier(n_threads)
+        channels = [None] * n_threads
+
+        def request(slot):
+            barrier.wait(30)
+            channels[slot] = sim.schedule_channel(sched, qubits=[0, 1])
+
+        threads = [threading.Thread(target=request, args=(i,)) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        info = sim.cache_info()
+        assert info["misses"] == 1
+        assert info["hits"] == n_threads - 1
+        assert all(channel.tobytes() == channels[0].tobytes() for channel in channels)
+
+    def test_failed_simulation_is_retried_by_the_next_request(self, montreal_props, monkeypatch):
+        sim = PulseSimulator(montreal_props)
+        sched = default_drag_x(0, montreal_props.qubit(0), montreal_props.dt)
+        real = sim._single_qubit_channel
+        calls = []
+
+        def fail_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("integrator failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "_single_qubit_channel", fail_once)
+        with pytest.raises(RuntimeError, match="integrator failure"):
+            sim.schedule_channel(sched)
+        assert sim.schedule_channel(sched) is sim.schedule_channel(sched)
+        assert len(calls) == 2 and sim.cache_info()["misses"] == 2
 
     def test_simulator_cache_invalidated_by_drift(self, montreal_props):
         sim = PulseSimulator(montreal_props)

@@ -4,7 +4,8 @@ Sequence generation draws each (seed, length) row with one vectorized
 ``rng.integers`` call and recovers every row by pairwise tableau reduction;
 the channel engine composes each length group as stacked matmuls.  Both
 must reproduce, bit for bit, the scalar loops they replace — the loops are
-copied here as the references.
+copied here as the references.  A curve run as one pool call must equal the
+same curve run inline, field for field.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 from repro.backend import PulseBackend
 from repro.backend.noise import readout_confusion_matrix
 from repro.backend.sampling import channel_output_probabilities, sample_measurement
-from repro.benchmarking import clifford_group
+from repro.benchmarking import InterleavedRBExperiment, clifford_group, execute_rb_sequences
 from repro.benchmarking.cycle import cycle_sequences, pauli_indices
 from repro.benchmarking.engine import (
     clifford_channel_table,
@@ -32,7 +33,9 @@ from repro.benchmarking.rb import (
     rb_sequences,
 )
 from repro.circuits.gate import Gate
+from repro.pulse.calibrations import default_drag_x
 from repro.session.specs import CycleBenchSpec, IRBSpec, PurityRBSpec, RBSpec
+from repro.utils import parallel
 from repro.utils.seeding import default_rng, spawn_rngs
 from repro.utils.validation import ValidationError
 
@@ -273,6 +276,79 @@ def test_stacked_execution_equals_per_sequence_loop(
     )
     reference = _reference_survivals(backend, sequences, qubits, 200, group, interleaved, 29)
     assert survivals == reference
+
+
+# --------------------------------------------------------------------------- #
+# one pool call per curve == inline
+# --------------------------------------------------------------------------- #
+def _curve_fields(result):
+    """Every RBResult field a payload is built from, as plain comparable values."""
+    fit = result.fit
+    return (
+        result.lengths.tolist(),
+        result.survival_mean.tolist(),
+        result.survival_std.tolist(),
+        result.per_sequence,
+        (fit.alpha, fit.alpha_err, fit.a, fit.a_err, fit.b, fit.b_err),
+    )
+
+
+def _irb_curves(props, qubits, gate, lengths, calibration, store, num_workers):
+    """Reference and interleaved curve fields of one IRB run, then one standard curve."""
+    backend = PulseBackend(props, calibrated_qubits=[0, 1], seed=5)
+    experiment = InterleavedRBExperiment(
+        backend, gate, qubits, lengths=lengths, n_seeds=3, shots=300, seed=41,
+        custom_calibration=calibration, num_workers=num_workers, store=store,
+    )
+    result = experiment.run()
+    sequences = rb_sequences(qubits, lengths, 3, seed=43, build_circuits=False)
+    standard = execute_rb_sequences(
+        backend, sequences, len(qubits), 300, seed=47, num_workers=num_workers,
+        physical_qubits=qubits, store=store,
+    )
+    return [_curve_fields(c) for c in (result.reference, result.interleaved, standard)]
+
+
+@pytest.fixture(params=["fork", "spawn"])
+def pool_method(request, monkeypatch):
+    """A 2-worker persistent pool on the given start method (shut down after)."""
+    import multiprocessing
+
+    if request.param not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{request.param} unavailable")
+    monkeypatch.setenv("REPRO_MP_START", request.param)
+    parallel.shutdown_pool()
+    yield request.param
+    parallel.shutdown_pool()
+
+
+def test_pool_curves_equal_inline_curves(montreal_props, tmp_path, pool_method):
+    custom_x = default_drag_x(0, montreal_props.qubit(0), montreal_props.dt, amplitude_error=0.01)
+    cases = [
+        ([0], "x", (1, 8, 24, 60), custom_x),
+        ([0, 1], "cx", (1, 2, 4, 8), None),
+    ]
+    for qubits, gate, lengths, calibration in cases:
+        for with_store in (False, True):
+            store = tmp_path / f"store-{gate}" if with_store else False
+            inline = _irb_curves(montreal_props, qubits, gate, lengths, calibration, store, 1)
+            pooled = _irb_curves(montreal_props, qubits, gate, lengths, calibration, store, 2)
+            assert pooled == inline, (gate, with_store)
+
+
+def test_worker_validation_error_surfaces_as_inline(montreal_props, pool_method):
+    backend = PulseBackend(montreal_props, calibrated_qubits=[0], seed=5)
+    sequences = rb_sequences([0], (1, 8), 2, seed=3, build_circuits=False)
+    raised = []
+    for num_workers in (1, 2):
+        with pytest.raises(ValidationError) as info:
+            execute_rb_sequences(
+                backend, sequences, 1, 100, seed=9, num_workers=num_workers,
+                physical_qubits=[0], store=False,
+            )
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    assert "three sequence lengths" in raised[0][1]
 
 
 # --------------------------------------------------------------------------- #

@@ -546,3 +546,38 @@ class TestPooledPrep:
         finally:
             parallel.shutdown_pool()
         assert result.payload_fingerprint() == reference.payload_fingerprint()
+
+
+# --------------------------------------------------------------------------- #
+# fresh-seed IRB on a warmed store (the seed-study self-check)
+# --------------------------------------------------------------------------- #
+def test_fresh_seed_irb_on_warm_store_matches_storeless_rerun(tmp_path):
+    """Store-backed results of a multi-worker session are functions of their spec alone.
+
+    The store is warmed with the Fig. 3-5 triples; one fresh-seed batch of
+    custom and default IRB for X, SX and H then reads the warmed channel
+    tables and pulses, and each result must equal a store-less re-run.
+    """
+    import dataclasses
+    import math
+
+    from repro.experiments.figures import fig5_specs
+
+    triples = [fig3_specs(2022), fig4_specs(2022), fig5_specs(2022)]
+    root = tmp_path / "store"
+    with Session(store=root) as warm:
+        warm.run_all([spec for triple in triples for spec in triple.values()])
+    batch = [
+        dataclasses.replace(triple[name], seed=1_000_001)
+        for triple in triples
+        for name in ("custom_irb", "default_irb")
+    ]
+    with Session(store=root) as session:
+        results = session.run_all(batch)
+    tables = session.store.stats["channel_tables"]
+    assert session.stats["cache_hits"] == 0
+    assert tables["writes"] + tables["elements_written"] == 0
+    assert all(math.isfinite(r.payload["gate_error"]) for r in results)
+    with Session(store=None) as check:
+        again = check.run_all(batch)
+    assert [r.payload_fingerprint() for r in again] == [r.payload_fingerprint() for r in results]
