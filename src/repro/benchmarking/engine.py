@@ -67,10 +67,9 @@ def used_element_indices(sequences) -> np.ndarray:
     """Distinct group-element indices a sequence workload touches.
 
     Includes every sampled Clifford index and every recovery index — the
-    exact set of channels the executor composes.  The session planner uses
-    this to size one shared channel-table build covering the *union* of
-    several experiments' workloads, so per-experiment flushes afterwards
-    have nothing left to persist.
+    exact set of channels the executor composes.  An executor with a store
+    passes this to :meth:`CliffordChannelTable.ensure`, so its elements are
+    built and persisted before it reads them.
 
     Parameters
     ----------
@@ -133,9 +132,9 @@ class CliffordChannelTable:
         #: Pending (built this session, not yet flushed) element indices.
         self._dirty: set[int] = set()
         #: Serializes *builders* (channel construction, flush): the session
-        #: executes experiments on threads over one shared table, and an
-        #: execution-time ``ensure`` must not race a concurrent prep
-        #: extending the table.  The read path stays lock-free.
+        #: executes experiments on threads over one shared table, and one
+        #: experiment's ``ensure`` must not race another's extending the
+        #: table.  The read path stays lock-free.
         self._build_lock = threading.RLock()
         #: Current on-disk generation as one ``(ids, channels)`` tuple.
         #: Held in a single attribute so a :meth:`flush` swapping in a new
@@ -222,8 +221,9 @@ class CliffordChannelTable:
         Thread-safe: when every index is already reachable (and nothing
         built is waiting for a flush) it returns without the build lock;
         otherwise the build-and-flush runs under the lock, so concurrent
-        ``ensure`` calls (session prep extending the table while another
-        spec executes) serialize instead of racing.
+        ``ensure`` calls (experiments of one session sharing the table)
+        serialize instead of racing, and each element is built once.  With
+        a store, a call that builds anything writes one merged generation.
         """
         indices = np.unique(np.fromiter(indices, dtype=np.int64))
         if (self.store is None or not self._dirty) and self._covered(indices).all():

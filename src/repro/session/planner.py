@@ -48,10 +48,10 @@ largest first):
 ``group``
     Enumerate (or load from the store) the n-qubit Clifford group.
 ``table``
-    Build the per-Clifford channel table of one (device, qubit-tuple),
-    covering the union of element indices every consumer's sequences
-    touch — with a persistent store attached this is the single write the
-    store counters observe.
+    Create the per-Clifford channel table of one (device, qubit-tuple)
+    once, and give it its store key for provenance.  No element is built
+    here: each experiment builds (and, with a store, persists) the
+    elements its own sequences use.
 """
 
 from __future__ import annotations

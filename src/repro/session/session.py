@@ -23,15 +23,16 @@ Clifford channel store, and the process-pool fan-out — and executes
 ``run_all`` plans the batch first (see
 :mod:`repro.session.planner`): shared preparation — the Clifford group,
 the device backend, the GRAPE pulse nested by ``custom``, and the
-per-Clifford channel table both IRB curves replay — is built exactly
+per-Clifford channel table both IRB curves replay — is created exactly
 once, then execution fans out.  Cold GRAPE optimizations run on the
 process pool of :mod:`repro.utils.parallel` while the calling thread
-builds the rest, and a spec waits only for the pulse it needs.
+builds the rest, and a spec waits only for the pulse it needs.  Each
+experiment draws its sequences once and builds the table elements they
+use under the table's own lock, so an element shared by several specs is
+built (and persisted) exactly once.
 ``submit(spec)`` returns a
 :class:`~concurrent.futures.Future` immediately; concurrent submits of
-overlapping specs coordinate through per-artifact locks, so a shared
-channel table is still built (and persisted) exactly once — observable
-through the store's write counters.
+overlapping specs coordinate through per-artifact locks.
 
 With a persistent store attached the session additionally consults the
 **result cache** (the store's ``results`` namespace, keyed by spec
@@ -88,9 +89,8 @@ class Session:
         directory), a path, a :class:`~repro.store.ArtifactStore`, or
         ``None`` / ``False`` for no persistence.
     num_workers : int
-        Default process fan-out for spec execution: ``0`` = all available
-        CPUs, ``1`` = serial (specs may override via their own
-        ``num_workers`` field).
+        Process fan-out for spec execution: ``0`` = all available CPUs,
+        ``1`` = serial.
     max_concurrency : int, optional
         Maximum number of specs executing concurrently (thread fan-out on
         top of the process pool).  Defaults to ``max(4, os.cpu_count())``
@@ -296,10 +296,6 @@ class Session:
             self._props_fps[device] = fp
         return fp
 
-    def _resolve_workers(self, spec) -> int:
-        spec_workers = getattr(spec, "num_workers", None)
-        return self.num_workers if spec_workers is None else int(spec_workers)
-
     # ------------------------------------------------------------------ #
     # submission API
     # ------------------------------------------------------------------ #
@@ -307,7 +303,7 @@ class Session:
         """Submit one spec for execution; returns a future immediately.
 
         Shared preparation is coordinated through per-artifact locks, so
-        concurrently submitted overlapping specs build each shared
+        concurrently submitted overlapping specs create each shared
         artifact (group, backend, GRAPE pulse, channel table) exactly
         once — the rest block until it is ready, then execute.
         """
@@ -327,8 +323,9 @@ class Session:
         Equivalent to submitting every spec and gathering the results —
         but the preparation phase is planned over the *whole batch* up
         front (see :meth:`plan`), so e.g. three IRB specs on the same
-        qubits trigger one channel-table build covering the union of
-        their sequences before any experiment starts.
+        qubits share one backend, group and channel table, created before
+        any experiment starts.  Each experiment then builds the table
+        elements its own sequences use.
         """
         specs = list(specs)
         plan = self.plan(specs)
@@ -368,15 +365,13 @@ class Session:
         ``num_workers=1`` each optimization runs inline when it is
         dispatched.
 
-        The ``table`` steps cover the **union** of element indices used by
-        every consumer spec, so per-experiment flushes afterwards find
-        nothing new to persist (the store counters observe one write).
+        A ``table`` step only creates the table object; the experiment
+        that reads the table builds the elements its own sequences use.
         """
         for step in plan.steps:
-            consumers = [plan.specs[i] for i in plan.consumers.get(step.key, [])]
-            self._build_step(step, consumers)
+            self._build_step(step)
 
-    def _build_step(self, step, consumers: Sequence[ExperimentSpec]):
+    def _build_step(self, step):
         """Build one plan step through the exactly-once artifact registry.
 
         A ``grape`` step returns its registry entry, which is a
@@ -392,32 +387,8 @@ class Session:
         if step.kind == "grape_batch":
             return self._grape_batch_entries(step.payload)
         if step.kind == "table":
-            return self._table_artifact(step.key, consumers)
+            return self._artifact(step.key, lambda: self._build_table(*step.key[1:]))
         raise ValidationError(f"unknown preparation kind {step.kind!r}")
-
-    def _table_artifact(self, key: tuple, consumers: Sequence[ExperimentSpec]):
-        """The channel table of one (device, qubits), covering ``consumers``.
-
-        Creation is exactly-once through the artifact registry; *coverage*
-        is then extended for these consumers under the same per-key lock.
-        Every consumer's elements are therefore built (and, with a store,
-        flushed) before its experiment executes — so the execution-time
-        ``table.ensure`` inside the engine finds everything present and
-        performs no concurrent mutation, and each element is built exactly
-        once no matter how submits interleave.
-        """
-        table = self._artifact(key, lambda: self._build_table(key[1], key[2]))
-        if not consumers:
-            return table
-        with self._registry_lock:
-            lock = self._artifact_locks[key]  # created by _artifact above
-        with lock:
-            used = self._used_indices(consumers)
-            if len(used):
-                start = time.perf_counter()
-                table.ensure(used)
-                self._add_timing(key, time.perf_counter() - start)
-        return table
 
     def _artifact(self, key: tuple, builder):
         """The artifact of one prep key, built exactly once under a lock.
@@ -639,8 +610,11 @@ class Session:
     def _build_table(self, device: str, qubits: tuple[int, ...]):
         """Create (or fetch) the backend's channel table for a qubit set.
 
-        Coverage — actually building element channels — happens in
-        :meth:`_table_artifact` under the table's per-key lock.
+        Only the table object is made here, once per key through the
+        registry: :func:`~repro.benchmarking.engine.clifford_channel_table`
+        caches tables on the backend without a lock.  No element is built;
+        each experiment builds (and, with a store, persists) the elements
+        its own sequences use, under the table's build lock.
         """
         from ..benchmarking.engine import clifford_channel_table
 
@@ -649,76 +623,6 @@ class Session:
         return clifford_channel_table(
             backend, list(qubits), group, store=self._experiment_store()
         )
-
-    def _used_indices(self, consumers) -> np.ndarray:
-        """Union of group-element indices the consumers' sequences touch.
-
-        Regenerates each consumer's sequences (deterministic in its seed,
-        and cheap — tableau-composed indices, no circuits) with the
-        session's store attached, so the group enumeration resolves
-        through the same persistence path as every other preparation.
-        Every protocol that replays the channel table — RB, IRB, XEB,
-        purity RB and cycle benchmarking — contributes here, so a shared
-        table build covers the union of all protocol workloads.
-        """
-        from ..benchmarking.engine import used_element_indices
-
-        return used_element_indices(
-            [seq for spec in consumers for seq in self._spec_sequences(spec)]
-        )
-
-    def _spec_sequences(self, spec) -> list:
-        """The (circuit-free) sequences a table-consuming spec replays."""
-        if spec.kind in ("rb", "irb"):
-            from ..benchmarking.rb import rb_sequences
-            from ..circuits.gate import Gate
-
-            interleaved = Gate.standard(spec.gate) if spec.kind == "irb" else None
-            return rb_sequences(
-                list(spec.qubits),
-                lengths=spec.lengths,
-                n_seeds=spec.n_seeds,
-                seed=spec.seed,
-                interleaved_gate=interleaved,
-                interleaved_qubits=list(spec.qubits) if interleaved is not None else None,
-                build_circuits=False,
-                store=self.store,
-            )
-        if spec.kind == "xeb":
-            from ..benchmarking.xeb import xeb_sequences
-
-            return xeb_sequences(
-                list(spec.qubits),
-                depths=spec.depths,
-                n_circuits=spec.n_circuits,
-                seed=spec.seed,
-                build_circuits=False,
-                store=self.store,
-            )
-        if spec.kind == "purity_rb":
-            from ..benchmarking.purity import purity_rb_sequences
-
-            return purity_rb_sequences(
-                list(spec.qubits),
-                lengths=spec.lengths,
-                n_seeds=spec.n_seeds,
-                seed=spec.seed,
-                build_circuits=False,
-                store=self.store,
-            )
-        if spec.kind == "cycle":
-            from ..benchmarking.cycle import cycle_sequences
-
-            return cycle_sequences(
-                list(spec.qubits),
-                spec.gate,
-                lengths=spec.lengths,
-                n_seeds=spec.n_seeds,
-                seed=spec.seed,
-                build_circuits=False,
-                store=self.store,
-            )
-        raise ValidationError(f"no sequence generator for spec kind {spec.kind!r}")
 
     # ------------------------------------------------------------------ #
     # execution
@@ -945,7 +849,7 @@ class Session:
             attrs["n_steps"] = len(steps)
         with self._span("prep"):
             for step in steps:
-                _resolved(self._build_step(step, [spec]))
+                _resolved(self._build_step(step))
         prepare_s = time.perf_counter() - prep_start
 
         execute_start = time.perf_counter()
@@ -1095,7 +999,7 @@ class Session:
             shots=spec.shots,
             seed=spec.seed,
             engine=spec.engine,
-            num_workers=self._resolve_workers(spec),
+            num_workers=self.num_workers,
             store=self._experiment_store(),
         )
         result = experiment.run()
@@ -1119,7 +1023,7 @@ class Session:
             seed=spec.seed,
             custom_calibration=calibration_schedule,
             engine=spec.engine,
-            num_workers=self._resolve_workers(spec),
+            num_workers=self.num_workers,
             store=self._experiment_store(),
         )
         result = experiment.run()
@@ -1220,7 +1124,7 @@ class Session:
             shots=spec.shots,
             seed=spec.seed,
             engine=spec.engine,
-            num_workers=self._resolve_workers(spec),
+            num_workers=self.num_workers,
             store=self._experiment_store(),
         )
         payload = {"gate_name": result.gate, **self._rb_payload(result.rb)}

@@ -84,11 +84,6 @@ class ExperimentSpec:
     #: aggregate result from the children.
     is_container: ClassVar[bool] = False
 
-    #: Field names excluded from :meth:`cache_fingerprint`: knobs that
-    #: change *how* a spec executes (process fan-out, scheduling), never
-    #: what it computes — results are bit-identical across their values.
-    _CACHE_EXCLUDED_FIELDS: ClassVar[tuple[str, ...]] = ()
-
     def __init_subclass__(cls, **kwargs):
         """Register the subclass under its ``kind`` tag."""
         super().__init_subclass__(**kwargs)
@@ -158,17 +153,13 @@ class ExperimentSpec:
     def cache_fingerprint(self) -> str:
         """Fingerprint used as the result-cache key of the spec.
 
-        Identical to :meth:`fingerprint` except that execution-only knobs
-        (:attr:`_CACHE_EXCLUDED_FIELDS`, e.g. ``num_workers``) are dropped
-        before hashing: a spec re-submitted with a different process
-        fan-out computes the bit-identical payload, so it hits the same
-        cache entry (see the result-cache contract in ``docs/caching.md``).
+        :meth:`fingerprint` itself: every spec field changes what is
+        computed (process fan-out is the session's, not the spec's).  The
+        hook exists for :class:`OptimizerSpec`, whose key is that of its
+        canonical pulse spec (see the result-cache contract in
+        ``docs/caching.md``).
         """
-        data = self.to_dict()
-        for name in self._CACHE_EXCLUDED_FIELDS:
-            data.pop(name, None)
-        payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return self.fingerprint()
 
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
@@ -522,12 +513,9 @@ class RBSpec(ExperimentSpec):
         As in :class:`~repro.benchmarking.rb.StandardRB`.
     engine : str
         ``"channels"`` (batched) or ``"circuits"`` (reference).
-    num_workers : int, optional
-        Per-experiment process fan-out; ``None`` inherits the session's.
     """
 
     kind: ClassVar[str] = "rb"
-    _CACHE_EXCLUDED_FIELDS: ClassVar[tuple[str, ...]] = ("num_workers",)
 
     device: str = "montreal"
     qubits: tuple[int, ...] = (0,)
@@ -536,7 +524,6 @@ class RBSpec(ExperimentSpec):
     shots: int = 512
     seed: int | None = None
     engine: str = "channels"
-    num_workers: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", _int_tuple(self.qubits))
@@ -573,12 +560,9 @@ class IRBSpec(ExperimentSpec):
         Custom pulse for the interleaved gate (``None`` = default gate).
     engine : str
         ``"channels"`` or ``"circuits"``.
-    num_workers : int, optional
-        Per-experiment process fan-out; ``None`` inherits the session's.
     """
 
     kind: ClassVar[str] = "irb"
-    _CACHE_EXCLUDED_FIELDS: ClassVar[tuple[str, ...]] = ("num_workers",)
 
     device: str = "montreal"
     gate: str = "x"
@@ -589,7 +573,6 @@ class IRBSpec(ExperimentSpec):
     seed: int | None = None
     calibration: GRAPESpec | OptimizerSpec | None = None
     engine: str = "channels"
-    num_workers: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", _int_tuple(self.qubits))
@@ -647,12 +630,9 @@ class XEBSpec(ExperimentSpec):
         Sampling controls (as in :class:`RBSpec`).
     engine : str
         ``"channels"`` (batched) or ``"circuits"`` (reference).
-    num_workers : int, optional
-        Per-experiment process fan-out; ``None`` inherits the session's.
     """
 
     kind: ClassVar[str] = "xeb"
-    _CACHE_EXCLUDED_FIELDS: ClassVar[tuple[str, ...]] = ("num_workers",)
 
     device: str = "montreal"
     qubits: tuple[int, ...] = (0,)
@@ -661,7 +641,6 @@ class XEBSpec(ExperimentSpec):
     shots: int = 512
     seed: int | None = None
     engine: str = "channels"
-    num_workers: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", _int_tuple(self.qubits))
@@ -751,12 +730,9 @@ class CycleBenchSpec(ExperimentSpec):
         As in :class:`RBSpec`.
     engine : str
         ``"channels"`` (batched) or ``"circuits"`` (reference).
-    num_workers : int, optional
-        Per-experiment process fan-out; ``None`` inherits the session's.
     """
 
     kind: ClassVar[str] = "cycle"
-    _CACHE_EXCLUDED_FIELDS: ClassVar[tuple[str, ...]] = ("num_workers",)
 
     device: str = "montreal"
     gate: str = "x"
@@ -766,7 +742,6 @@ class CycleBenchSpec(ExperimentSpec):
     shots: int = 512
     seed: int | None = None
     engine: str = "channels"
-    num_workers: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", _int_tuple(self.qubits))

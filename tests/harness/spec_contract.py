@@ -8,7 +8,7 @@ an executor entry.  This harness is the other half of that bargain: one
 * lossless ``to_dict`` → JSON → ``from_dict`` round-trips,
 * :meth:`~repro.session.specs.ExperimentSpec.fingerprint` stability and
   per-field sensitivity,
-* ``cache_fingerprint()`` excluding execution-only knobs (``num_workers``),
+* ``cache_fingerprint()`` equal to the fingerprint (no execution knobs),
 * unknown-key rejection on every ``from_dict`` path,
 * warm result-cache replay with **zero** executions and prep builds,
   proven by session and store counters (:func:`run_warm_replay_check`).
@@ -183,18 +183,15 @@ def check_fingerprint_sensitivity(example: SpecExample) -> None:
 
 
 def check_cache_fingerprint_excludes_execution_knobs(spec: ExperimentSpec) -> None:
-    """``num_workers`` (where present) never reaches the cache key."""
-    excluded = type(spec)._CACHE_EXCLUDED_FIELDS
+    """No spec carries an execution knob, so the cache key is the fingerprint.
+
+    Process fan-out belongs to the ``Session``; a spec field that only
+    changed *how* a spec runs would split (or have to be cut out of) the
+    result-cache key.
+    """
     names = {f.name for f in fields(spec)}
-    if "num_workers" in names:
-        assert "num_workers" in excluded, (
-            f"{spec.kind}: num_workers must be cache-excluded"
-        )
-        alt = replace(spec, num_workers=7)
-        assert alt.cache_fingerprint() == spec.cache_fingerprint()
-        assert alt.fingerprint() != spec.fingerprint()
-    else:
-        assert spec.cache_fingerprint()  # still well-defined without knobs
+    assert "num_workers" not in names, f"{spec.kind}: num_workers is a session knob"
+    assert spec.cache_fingerprint() == spec.fingerprint()
 
 
 def check_unknown_key_rejection(spec: ExperimentSpec) -> None:

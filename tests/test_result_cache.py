@@ -27,7 +27,18 @@ import pytest
 
 from repro.backend import PulseBackend
 from repro.devices import fake_montreal
-from repro.session import GRAPESpec, IRBSpec, RBSpec, Session, SweepSpec, plan_specs
+from repro.session import (
+    CycleBenchSpec,
+    GRAPESpec,
+    IRBSpec,
+    OptimizerSpec,
+    PurityRBSpec,
+    RBSpec,
+    Session,
+    SweepSpec,
+    XEBSpec,
+    plan_specs,
+)
 from repro.store import ArtifactStore
 
 #: Small-but-real RB workload reused across the cache tests.
@@ -85,15 +96,74 @@ class TestWarmReplay:
             session.run(spec)
             assert session.prep_timings == {}
 
-    def test_num_workers_is_not_part_of_the_cache_key(self, store):
-        base = RBSpec(**FAST_RB)
-        cold, _ = _run(base, store)
-        refanned = RBSpec(**FAST_RB, num_workers=1)
-        assert refanned.cache_fingerprint() == base.cache_fingerprint()
-        assert refanned.fingerprint() != base.fingerprint()
-        warm, stats = _run(refanned, ArtifactStore(store.root))
-        assert warm.cache_hit and stats["executions"] == 0
-        assert warm.payload_fingerprint() == cold.payload_fingerprint()
+
+#: Tiny pulse spec nested by the pinned IRB and mirrored by the lbfgs optimizer.
+_PINNED_GRAPE = GRAPESpec(
+    device="montreal", gate="x", duration_ns=28.0, n_ts=6, max_iter=10, seed=11
+)
+
+#: One spec per concrete kind with its result-cache key, recorded when the
+#: RB-family specs still carried a cache-excluded ``num_workers`` field.
+#: The keys must not move: a store warmed then must stay warm.
+PINNED_CACHE_KEYS = [
+    (_PINNED_GRAPE, "f658647d50310868ed7b13a9cee9bb05bfa50c49defce8d627e7d51baeda7e29"),
+    (
+        OptimizerSpec(
+            device="montreal", gate="x", duration_ns=28.0, n_ts=6,
+            method="spsa", max_iter=5, seed=3,
+        ),
+        "6ea6a35c6f7f63fdde415cd92c706c25b5424455fac8edf84565b2d3c40b6e11",
+    ),
+    (
+        OptimizerSpec(
+            device="montreal", gate="x", duration_ns=28.0, n_ts=6,
+            method="lbfgs", max_iter=10, seed=11,
+        ),
+        "f658647d50310868ed7b13a9cee9bb05bfa50c49defce8d627e7d51baeda7e29",
+    ),
+    (
+        RBSpec(device="montreal", qubits=(0,), lengths=(1, 2, 4), n_seeds=2, shots=50, seed=5),
+        "fcb42a133ba5af08b251a753be575b44c0a6c7263f965dcda95e432d81287bbe",
+    ),
+    (
+        IRBSpec(
+            device="montreal", gate="x", qubits=(0,), lengths=(1, 2, 4),
+            n_seeds=2, shots=50, seed=5,
+        ),
+        "1f416f6d11f25a064f301140cc510ba830bdf2b5162f2b35c715885a9bfcc119",
+    ),
+    (
+        IRBSpec(
+            device="montreal", gate="x", qubits=(0,), lengths=(1, 2, 4),
+            n_seeds=2, shots=50, seed=5, calibration=_PINNED_GRAPE,
+        ),
+        "d2e94462f2dc1db744ecfe13a07f5718637c9ef0f61d17a5160327071e151cd2",
+    ),
+    (
+        XEBSpec(device="montreal", qubits=(0,), depths=(1, 2, 4), n_circuits=4, shots=50, seed=1),
+        "3418502ba2c0580530b9ddd9fbc96202ecb0bf9bd7081ee201c9e51ce58d0f7b",
+    ),
+    (
+        PurityRBSpec(device="montreal", qubits=(0,), lengths=(1, 2, 4), n_seeds=2, seed=7),
+        "134f1737dfa779d3da8f919a42f577a2fd6cb68149852c1fb8d8e89ed1967194",
+    ),
+    (
+        CycleBenchSpec(
+            device="montreal", gate="x", qubits=(0,), lengths=(1, 2, 4),
+            n_seeds=2, shots=50, seed=7,
+        ),
+        "340b1a1fa14225fca9cdb3a7ef08125bac5e3feed57fe3339387a04d259fe935",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, key", PINNED_CACHE_KEYS, ids=[f"{s.kind}-{i}" for i, (s, _) in enumerate(PINNED_CACHE_KEYS)]
+)
+def test_cache_keys_are_pinned(spec, key):
+    assert spec.cache_fingerprint() == key
+    if not isinstance(spec, OptimizerSpec) or spec.method != "lbfgs":
+        assert spec.fingerprint() == key
 
 
 class TestInvalidation:

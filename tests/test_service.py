@@ -278,6 +278,20 @@ class TestServiceRoundTrip:
             # nothing reached the queue
             assert client.jobs() == []
 
+    def test_spec_num_workers_is_rejected(self, tmp_path, store):
+        """Process fan-out is the daemon's: a spec cannot size the pool."""
+        bodies = [{"kind": kind, "num_workers": 3} for kind in ("rb", "irb", "xeb", "cycle")]
+        for body in bodies:
+            with pytest.raises(ValidationError, match="num_workers"):
+                spec_from_dict(body)
+        with _service(tmp_path, store, workers=0) as service:
+            client = ServiceClient(service.url)
+            for body in bodies:
+                with pytest.raises(ServiceError) as err:
+                    client.submit(body)
+                assert err.value.status == 400
+            assert client.jobs() == []
+
     def test_failed_job_reports_the_error(self, tmp_path, store):
         bad = RBSpec(**{**FAST_RB, "qubits": (5,)})  # valid spec, uncalibrated qubit
         with _service(tmp_path, store) as service:

@@ -29,12 +29,15 @@ from repro.circuits.gate import Gate
 from repro.devices import fake_montreal
 from repro.experiments.figures import fig3_specs, fig4_specs, fig8_specs
 from repro.session import (
+    CycleBenchSpec,
     ExperimentResult,
     GRAPESpec,
     IRBSpec,
+    PurityRBSpec,
     RBSpec,
     Session,
     SweepSpec,
+    XEBSpec,
     plan_specs,
     spec_from_dict,
 )
@@ -423,7 +426,13 @@ class TestSharedPreparation:
             assert result["gate_error"] == standalone.gate_error
 
     def test_run_all_plans_union_before_fanout(self, tmp_path):
-        """Different seeds → different element subsets → still one write."""
+        """Different seeds → different element subsets → no element twice.
+
+        ``run_all`` creates the shared table before the specs fan out; each
+        spec then builds and persists the elements its own sequences use,
+        so a batch may append several generations, but every element is
+        written once and every payload equals its standalone run.
+        """
         store = ArtifactStore(tmp_path / "store")
         specs = [
             RBSpec(device="montreal", qubits=(0,), lengths=(1, 4, 8), n_seeds=1,
@@ -431,8 +440,16 @@ class TestSharedPreparation:
             for seed in (1, 2, 3)
         ]
         with Session(store=store, num_workers=1) as session:
-            session.run_all(specs)
-        assert store.stats["channel_tables"]["writes"] == 1
+            results = session.run_all(specs)
+        assert len({r.provenance["store_key"] for r in results}) == 1
+        ids, _ = store.load_channel_table(results[0].provenance["store_key"])
+        assert store.stats["channel_tables"]["elements_written"] == len(ids)
+        backend = PulseBackend(fake_montreal(), calibrated_qubits=[0, 1], seed=5)
+        for spec, result in zip(specs, results):
+            standalone = StandardRB(backend, [0], lengths=spec.lengths, n_seeds=spec.n_seeds,
+                                    shots=spec.shots, seed=spec.seed).run()
+            assert np.array_equal(result["survival_mean"], standalone.survival_mean)
+            assert result["error_per_clifford"] == standalone.error_per_clifford
 
     def test_grape_optimized_exactly_once(self, monkeypatch):
         import repro.experiments.gates as gates_module
@@ -462,6 +479,60 @@ class TestSharedPreparation:
         assert np.array_equal(stored["interleaved_survival_mean"],
                               plain["interleaved_survival_mean"])
         assert stored["gate_error"] == plain["gate_error"]
+
+
+#: Every sequence generator an executor calls, at the binding it calls.
+_SEQUENCE_GENERATORS = (
+    ("repro.benchmarking.rb", "rb_sequences"),
+    ("repro.benchmarking.irb", "rb_sequences"),
+    ("repro.benchmarking.xeb", "xeb_sequences"),
+    ("repro.benchmarking.purity", "purity_rb_sequences"),
+    ("repro.benchmarking.cycle", "cycle_sequences"),
+)
+
+
+class TestSequenceDraws:
+    """Each executed spec draws its sequences exactly once."""
+
+    @pytest.mark.parametrize("num_workers", [1, 2])
+    @pytest.mark.parametrize("with_store", [False, True])
+    @pytest.mark.parametrize("mode", ["run_all", "submit"])
+    def test_one_draw_per_executed_spec(self, tmp_path, monkeypatch, mode, with_store,
+                                        num_workers):
+        import importlib
+
+        draws: list[tuple[str, int]] = []
+        for module_name, name in _SEQUENCE_GENERATORS:
+            module = importlib.import_module(module_name)
+            original = getattr(module, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                draws.append((_name, kwargs["seed"]))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        # long enough decays that every fit has a covariance (no OptimizeWarning)
+        shape = dict(device="montreal", qubits=(0,), lengths=(1, 16, 48, 96), n_seeds=2, seed=31)
+        specs = [
+            RBSpec(shots=50, **shape),
+            IRBSpec(gate="x", shots=50, **{**shape, "seed": 32}),
+            XEBSpec(device="montreal", qubits=(0,), depths=(1, 2, 4), n_circuits=4,
+                    shots=50, seed=1),
+            PurityRBSpec(**{**shape, "seed": 33}),
+            CycleBenchSpec(gate="x", shots=50, **{**shape, "seed": 34}),
+        ]
+        store = ArtifactStore(tmp_path / "store") if with_store else None
+        with Session(store=store, num_workers=num_workers) as session:
+            if mode == "run_all":
+                session.run_all(specs)
+            else:
+                for future in [session.submit(spec) for spec in specs]:
+                    future.result()
+            assert session.stats["executions"] == len(specs)
+        assert sorted(draws) == sorted([
+            ("rb_sequences", 31), ("rb_sequences", 32), ("xeb_sequences", 1),
+            ("purity_rb_sequences", 33), ("cycle_sequences", 34),
+        ])
 
 
 #: The pool task of a cold GRAPE step, as the session module defines it.
