@@ -17,8 +17,12 @@ parameters each figure was generated with:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+
+from golden.paper_golden import GOLDEN_PATH, compare, paper_specs, record
 
 from repro.circuits import QuantumCircuit, transpile
 from repro.experiments import gate_histogram, generate_table1, optimizer_comparison_specs, run_drift_study
@@ -44,24 +48,13 @@ SEED = 2022
 FIG3_ERROR_RATES = (4.3747e-4, 3.0212e-3)
 
 
-def _paper_specs() -> list:
-    """Every Fig. / Table I spec at the paper seed, deduplicated (28)."""
-    specs = [fig1_spec(SEED), fig2_spec(SEED), fig7_spec(SEED)]
-    for triple in (fig3_specs(SEED), fig4_specs(SEED), fig5_specs(SEED), fig8_specs(SEED)):
-        specs.extend(triple.values())
-    specs.extend(fig6_specs(SEED).values())
-    for row in TABLE1_ROWS:
-        specs.extend(table1_row_specs(row, seed=SEED).values())
-    return list({spec.fingerprint(): spec for spec in specs}.values())
-
-
 @pytest.fixture(scope="module")
 def paper(tmp_path_factory):
     """``(session, result_of)`` after one run of the whole paper batch.
 
     The store lets Table I's own batch replay from the result cache.
     """
-    specs = _paper_specs()
+    specs = paper_specs(SEED)
     assert len(specs) == 28
     store = tmp_path_factory.mktemp("paper-store")
     with Session(store=store, num_workers=1, seed=SEED) as session:
@@ -224,3 +217,10 @@ def test_drift_study_daily_tracks_drift():
     summary = result.summary()
     assert summary["mean_channel_error_daily"] <= summary["mean_channel_error_once"] * 1.5
     assert np.all(result.channel_error_daily > 0)
+
+
+def test_golden_paper_numbers(paper):
+    """Every headline number stays within its tolerance of ``tests/golden/paper.json``."""
+    _, result_of = paper
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert compare(golden, record(paper_specs(SEED), result_of)) == []
