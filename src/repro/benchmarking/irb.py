@@ -228,6 +228,15 @@ class InterleavedRBExperiment:
                 build_circuits=False,
                 store=store,
             )
+        if self.engine == "channels" and store:
+            # both curves' elements in one table generation (each curve's
+            # own coverage then finds them all on disk)
+            from .clifford import clifford_group
+            from .engine import clifford_channel_table, used_element_indices
+
+            group = clifford_group(self.n_qubits, store=store)
+            table = clifford_channel_table(self.backend, self.physical_qubits, group, store=store)
+            table.ensure(used_element_indices(sequences))
         fixed_asymptote = 0.25 if self.n_qubits == 2 else None
         common = dict(
             seed=self.seed,

@@ -977,6 +977,7 @@ class Session:
             "alpha_err": float(result.alpha_err),
             "error_per_clifford": float(result.error_per_clifford),
             "error_per_clifford_err": float(result.error_per_clifford_err),
+            **_fit_fields(result.fit),
         }
 
     def _table_provenance(self, spec) -> dict:
@@ -1084,6 +1085,7 @@ class Session:
             "fidelity": np.asarray(result.fidelity),
             "layer_fidelity": float(result.layer_fidelity),
             "layer_fidelity_err": float(result.fit.alpha_err),
+            **_fit_fields(result.fit),
         }
         return payload, self._table_provenance(spec)
 
@@ -1107,6 +1109,7 @@ class Session:
             "shifted_purity_std": np.asarray(result.shifted_purity_std),
             "unitarity": float(result.unitarity),
             "unitarity_err": float(result.unitarity_err),
+            **_fit_fields(result.fit),
         }
         return payload, self._table_provenance(spec)
 
@@ -1154,6 +1157,11 @@ class _PendingArtifact:
             if self._value is None:
                 self._value = self._finish()
             return self._value
+
+
+def _fit_fields(fit) -> dict:
+    """A decay fit's status and reduced χ² as payload entries."""
+    return {"fit_status": fit.status, "reduced_chi2": float(fit.reduced_chi2)}
 
 
 def _resolved(entry):

@@ -101,6 +101,24 @@ def assemble_pwc_hamiltonians(
     return h_slots
 
 
+def _distinct_slots(amplitudes) -> tuple[np.ndarray, np.ndarray | slice]:
+    """The distinct slots (columns) of an amplitude table and the map back.
+
+    Returns ``(distinct, inverse)`` with ``distinct[:, inverse]`` equal to
+    the table.  Resampled and flat-top pulses repeat few slot values, so
+    the step propagators are built once per distinct slot and gathered
+    back.  Each slice comes out bit-identical to the full stack's: the
+    batched kernels work slice by slice, and the batch-wide scaling power
+    of :func:`expm_batch` comes from the same maximal 1-norm.  A table the
+    assemblers would reject is passed through untouched.
+    """
+    amps = np.asarray(amplitudes, dtype=float)
+    if amps.ndim != 2 or amps.size == 0:
+        return amps, slice(None)
+    distinct, inverse = np.unique(amps, axis=1, return_inverse=True)
+    return distinct, inverse.reshape(-1)
+
+
 def pwc_step_propagators(
     drift: np.ndarray,
     controls: Sequence[np.ndarray],
@@ -109,12 +127,14 @@ def pwc_step_propagators(
 ) -> np.ndarray:
     """Per-slot unitary propagators ``U_k = exp(-i H_k dt)``.
 
-    Returns an array of shape ``(n_slots, d, d)``.
+    Each distinct slot is exponentiated once.  Returns an array of shape
+    ``(n_slots, d, d)``.
     """
     if dt <= 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
-    h_slots = assemble_pwc_hamiltonians(drift, controls, amplitudes)
-    return expm_unitary_step_batch(h_slots, dt)
+    distinct, inverse = _distinct_slots(amplitudes)
+    h_slots = assemble_pwc_hamiltonians(drift, controls, distinct)
+    return expm_unitary_step_batch(h_slots, dt)[inverse]
 
 
 def pwc_total_propagator(
@@ -165,13 +185,14 @@ def pwc_liouvillian_step_propagators(
     """Per-slot superoperator propagators ``exp(L_k dt)`` with dissipation.
 
     The Liouvillian of slot ``k`` is built from the slot Hamiltonian and the
-    (time-independent) collapse operators.  Returns shape
-    ``(n_slots, d^2, d^2)``.
+    (time-independent) collapse operators; each distinct slot is
+    exponentiated once.  Returns shape ``(n_slots, d^2, d^2)``.
     """
     if dt <= 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
-    generators = assemble_pwc_liouvillians(drift, controls, amplitudes, c_ops)
-    return expm_batch(generators * dt)
+    distinct, inverse = _distinct_slots(amplitudes)
+    generators = assemble_pwc_liouvillians(drift, controls, distinct, c_ops)
+    return expm_batch(generators * dt)[inverse]
 
 
 def assemble_pwc_liouvillians(

@@ -12,7 +12,7 @@ namespace       directory     contents
                                  count (words + tableaux)
 ``pulses``        ``pulses/``    optimized GRAPE pulses keyed by
                                  (spec, properties) fingerprints
-``results``       ``results/``   cached :class:`ExperimentResult`
+``results``       ``results/v2/`` cached :class:`ExperimentResult`
                                  documents, ``<spec>/<properties>.json``
 ========== ================= ==========================================
 
@@ -38,7 +38,7 @@ from .channels import STORE_FORMAT_VERSION, ChannelTableHandle, ChannelTableMixi
 from .core import NAMESPACES, StoreCore, StoreNamespace, default_store_root
 from .groups import GROUP_FORMAT_VERSION, GroupMixin
 from .pulses import PULSE_FORMAT_VERSION, PulseMixin
-from .results import ResultMixin, result_cache_enabled
+from .results import RESULT_FORMAT_VERSION, ResultMixin, result_cache_enabled
 from ..utils.validation import ValidationError
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "STORE_FORMAT_VERSION",
     "GROUP_FORMAT_VERSION",
     "PULSE_FORMAT_VERSION",
+    "RESULT_FORMAT_VERSION",
     "StorageBackend",
     "StorageStat",
     "LocalFSBackend",

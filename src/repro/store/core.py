@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .backends import LocalFSBackend, StorageBackend
+from .results import RESULTS_PREFIX
 from ..utils.locks import FileLock
 
 __all__ = [
@@ -108,7 +109,7 @@ class StoreNamespace:
         (``None`` for namespaces without superseded generations).
     nested : bool
         Whether keys contain a ``/`` (entries live one directory deeper,
-        as in ``results/<spec>/<properties>.json``).
+        as in ``results/v<N>/<spec>/<properties>.json``).
     counters : tuple of str
         Counter names pre-seeded to zero in :attr:`StoreCore.stats`.
     """
@@ -149,7 +150,7 @@ NAMESPACES: tuple[StoreNamespace, ...] = (
     ),
     StoreNamespace(
         name="results",
-        directory="results",
+        directory=RESULTS_PREFIX,
         entry_glob="*/*.json",
         generation_glob=None,
         nested=True,
@@ -174,7 +175,7 @@ class StoreCore:
             <root>/groups/clifford_<n>q_v<V>.npz     group enumerations
             <root>/pulses/<key>.json                 pulse manifests
             <root>/pulses/<key>-<tok>.npz            pulse array generations
-            <root>/results/<spec>/<props>.json       cached experiment results
+            <root>/results/v<N>/<spec>/<props>.json  cached experiment results
             <root>/locks/<name>.lock                 advisory writer locks
     backend : StorageBackend, optional
         Byte-level backend carrying the ``results`` namespace's payloads

@@ -7,7 +7,9 @@ spec fingerprint and the backend-properties fingerprint.  Since all
 randomness flows from the spec's own seed, that pair fully determines the
 payload — so the result itself is content-addressable::
 
-    <root>/results/<spec cache fingerprint>/<properties fingerprint>.json
+    <root>/results/v<N>/<spec cache fingerprint>/<properties fingerprint>.json
+
+where ``N`` is :data:`RESULT_FORMAT_VERSION`.
 
 The cached document is exactly ``ExperimentResult.to_json()`` — lossless,
 self-describing, and bit-identical on reload (see
@@ -48,7 +50,15 @@ from pathlib import Path
 
 from ..utils.locks import FileLock
 
-__all__ = ["ResultMixin", "result_cache_enabled"]
+__all__ = ["RESULT_FORMAT_VERSION", "ResultMixin", "result_cache_enabled"]
+
+#: Version of the cached result documents, part of the namespace's path.  A
+#: change to what a payload holds or how it is computed (version 2: every
+#: decay fit by variable projection, with its status and reduced χ²) bumps
+#: it, so results of older code are never replayed; spec fingerprints stay.
+RESULT_FORMAT_VERSION = 2
+#: Storage-key prefix (and directory under the store root) of the namespace.
+RESULTS_PREFIX = f"results/v{RESULT_FORMAT_VERSION}"
 
 #: Environment variable disabling result/pulse reuse when set to a falsy
 #: value (``0``, ``false``, ``off``, ``no`` or empty).
@@ -101,9 +111,9 @@ class ResultMixin:
         """The backend storage key of one cached result.
 
         Content-addressed and prefix-sharded by construction:
-        ``results/<spec cache fingerprint>/<properties fingerprint>.json``.
+        ``results/v<N>/<spec cache fingerprint>/<properties fingerprint>.json``.
         """
-        return f"results/{cache_fingerprint}/{properties_fingerprint}.json"
+        return f"{RESULTS_PREFIX}/{cache_fingerprint}/{properties_fingerprint}.json"
 
     # ------------------------------------------------------------------ #
     # in-flight execution coordination
@@ -318,14 +328,14 @@ class ResultMixin:
         if max_bytes is None and max_age is None:
             return 0
         try:
-            storage_keys = self.backend.list_keys("results/")
+            storage_keys = self.backend.list_keys(f"{RESULTS_PREFIX}/")
         except OSError:
             return 0  # storage hiccup: skip this sweep, the next retries
         entries: list[tuple[float, int, str]] = []
         for storage_key in storage_keys:
             if not storage_key.endswith(".json"):
                 continue  # quarantined evidence and tmp litter are not entries
-            entry_key = storage_key[len("results/"):-len(".json")]
+            entry_key = storage_key[len(RESULTS_PREFIX) + 1:-len(".json")]
             if "/" not in entry_key:
                 continue
             stat = self.backend.stat(storage_key)

@@ -142,7 +142,6 @@ def _daemon(path, backend):
 
 
 class TestEntryPoints:
-    @pytest.mark.filterwarnings("ignore:Covariance of the parameters")
     @pytest.mark.parametrize("entry_point", [
         _standard_rb, _interleaved_rb, _pulse_backend, _clifford_group,
         _channel_table, _session, _daemon,

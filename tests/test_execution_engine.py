@@ -7,13 +7,14 @@ import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import PulseBackend
+from repro.backend import PulseBackend, SimulationOptions
 from repro.backend.pulse_simulator import PulseSimulator
 from repro.benchmarking import InterleavedRBExperiment, RBExperiment, StandardRB, clifford_group
 from repro.benchmarking.engine import clifford_channel_table
 from repro.benchmarking.rb import rb_circuits, rb_sequences
 from repro.circuits.gate import Gate
 from repro.devices import fake_montreal
+from repro.pulse import DriveChannel, Play, Schedule, pwc_waveform
 from repro.pulse.calibrations import default_cx_schedule, default_drag_x
 from repro.solvers.expm_utils import (
     expm_batch,
@@ -152,6 +153,43 @@ class TestBatchedPropagators:
         for sk in steps:
             s = sk @ s
         assert np.allclose(total, s, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["1q", "cr"])
+    def test_distinct_slot_steps_equal_full_stack(self, montreal_props, monkeypatch, kind):
+        """Exponentiating each distinct slot once is bit-identical to the full stack."""
+        from repro.backend import pulse_simulator
+        from repro.solvers.propagator import assemble_pwc_hamiltonians, assemble_pwc_liouvillians
+        from repro.solvers.expm_utils import expm_unitary_step_batch
+
+        calls = []
+        for name in ("pwc_liouvillian_total", "pwc_total_propagator"):
+            original = getattr(pulse_simulator, name)
+            monkeypatch.setattr(
+                pulse_simulator, name,
+                lambda *args, _name=name, _original=original: calls.append((_name, args)) or _original(*args),
+            )
+        if kind == "1q":  # a GRAPE-style pulse: 12 piecewise-constant slots
+            rng = np.random.default_rng(3)
+            waveform = pwc_waveform(rng.uniform(-0.2, 0.2, 12), rng.uniform(-0.2, 0.2, 12), samples_per_slot=40)
+            schedule, qubits = Schedule(), [0]
+            schedule.append(Play(waveform, DriveChannel(0)))
+        else:
+            schedule, qubits = default_cx_schedule(montreal_props, 0, 1), [0, 1]
+        for decoherence in (True, False):
+            simulator = PulseSimulator(
+                montreal_props, options=SimulationOptions(include_decoherence=decoherence)
+            )
+            simulator.schedule_channel(schedule, qubits=qubits)
+        assert [name for name, _ in calls] == ["pwc_liouvillian_total", "pwc_total_propagator"]
+        (_, (drift, controls, amps, dt, c_ops)), (_, closed) = calls
+        assert np.unique(amps, axis=1).shape[1] < amps.shape[1]
+        full = expm_batch(assemble_pwc_liouvillians(drift, controls, amps, c_ops) * dt)
+        steps = pwc_liouvillian_step_propagators(drift, controls, amps, dt, c_ops)
+        assert np.array_equal(steps, full)
+        assert np.array_equal(pwc_liouvillian_total(drift, controls, amps, dt, c_ops),
+                              chain_propagator_product(full))
+        full = expm_unitary_step_batch(assemble_pwc_hamiltonians(*closed[:3]), closed[3])
+        assert np.array_equal(pwc_step_propagators(*closed), full)
 
 
 # --------------------------------------------------------------------------- #

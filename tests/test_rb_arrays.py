@@ -289,7 +289,7 @@ def _curve_fields(result):
         result.survival_mean.tolist(),
         result.survival_std.tolist(),
         result.per_sequence,
-        (fit.alpha, fit.alpha_err, fit.a, fit.a_err, fit.b, fit.b_err),
+        (fit.alpha, fit.alpha_err, fit.a, fit.a_err, fit.b, fit.b_err, fit.status, fit.reduced_chi2),
     )
 
 
@@ -354,6 +354,29 @@ def test_worker_validation_error_surfaces_as_inline(montreal_props, pool_method)
 # --------------------------------------------------------------------------- #
 # warm-path table coverage
 # --------------------------------------------------------------------------- #
+def test_cold_two_qubit_irb_writes_one_table_generation(montreal_props, tmp_path, monkeypatch):
+    """Both curves' elements go to disk in one generation, and the curves stay bit-identical."""
+    from repro.store import ArtifactStore
+
+    writes = []
+    original = ArtifactStore.save_channel_table
+
+    def counting(self, *args, **kwargs):
+        writes.append(args[0])
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ArtifactStore, "save_channel_table", counting)
+    curves = {}
+    for store in (tmp_path / "store", False):
+        backend = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=5)
+        result = InterleavedRBExperiment(
+            backend, "cx", [0, 1], lengths=(1, 2, 4), n_seeds=2, shots=100, seed=41, store=store,
+        ).run()
+        curves[bool(store)] = [_curve_fields(c) for c in (result.reference, result.interleaved)]
+    assert len(writes) == 1
+    assert curves[True] == curves[False]
+
+
 @pytest.mark.parametrize("with_store", [False, True])
 def test_ensure_on_covered_indices_does_not_wait_for_the_build_lock(
     montreal_props, tmp_path, with_store

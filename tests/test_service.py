@@ -49,7 +49,7 @@ from repro.utils.validation import ValidationError
 FAST_RB = dict(device="montreal", qubits=(0,), lengths=(1, 4, 8), n_seeds=1, shots=100, seed=5)
 
 #: The long-poll tests' workload: as fast, and its decay fits with a
-#: covariance (no ``OptimizeWarning``).
+#: finite covariance.
 LONG_POLL_RB = dict(FAST_RB, lengths=(1, 16, 48, 96), n_seeds=2)
 
 

@@ -511,7 +511,7 @@ class TestSequenceDraws:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
-        # long enough decays that every fit has a covariance (no OptimizeWarning)
+        # long enough decays that every fit has a finite covariance
         shape = dict(device="montreal", qubits=(0,), lengths=(1, 16, 48, 96), n_seeds=2, seed=31)
         specs = [
             RBSpec(shots=50, **shape),
