@@ -36,7 +36,8 @@ SEED = 2022
 GOLDEN_PATH = Path(__file__).with_name("paper.json")
 
 #: Headline fields per spec kind, each with ``(kind, value)`` of its
-#: tolerance: ``abs`` bounds |new − old|, ``rel`` bounds |new − old| / |old|.
+#: tolerance: ``abs`` bounds |new − old|, ``rel`` bounds |new − old| / |old|,
+#: ``exact`` asks for equality (the decay fits' statuses).
 #: An α may drift by 1e-6 between two correct decay fits; EPCs and gate
 #: errors scale α by at most 3/4 (gate errors take a ratio of two α's);
 #: the Magesan bound's sqrt(1 − α) term amplifies α's drift up to ~100×.
@@ -57,6 +58,8 @@ TOLERANCES = {
         "gate_error": ("abs", 2e-6),
         "systematic_lower": ("abs", 2e-4),
         "systematic_upper": ("abs", 2e-4),
+        "reference_fit_status": ("exact", None),
+        "interleaved_fit_status": ("exact", None),
     },
 }
 
@@ -95,7 +98,10 @@ def entry(spec, result) -> dict:
         "kind": spec.kind,
         "label": _label(spec),
         "payload_fingerprint": result.payload_fingerprint(),
-        "headlines": {name: float(result[name]) for name in TOLERANCES[spec.kind]},
+        "headlines": {
+            name: result[name] if kind == "exact" else float(result[name])
+            for name, (kind, _) in TOLERANCES[spec.kind].items()
+        },
     }
 
 
@@ -110,7 +116,7 @@ def record(specs, result_of) -> dict:
 
 def _within(old: float, new: float, tolerance) -> bool:
     kind, bound = tolerance
-    if not (math.isfinite(old) and math.isfinite(new)):
+    if kind == "exact" or not (math.isfinite(old) and math.isfinite(new)):
         return old == new
     scale = abs(old) if kind == "rel" else 1.0
     return abs(new - old) <= bound * scale
@@ -128,7 +134,7 @@ def compare(golden: dict, current: dict) -> list[str]:
     for key in sorted(set(golden["specs"]) & set(current["specs"])):
         old, new = golden["specs"][key], current["specs"][key]
         for name, tolerance in TOLERANCES[old["kind"]].items():
-            a, b = old["headlines"][name], new["headlines"][name]
+            a, b = old["headlines"].get(name), new["headlines"][name]
             if not _within(a, b, tolerance):
                 problems.append(f"{old['label']} {name}: {a!r} -> {b!r} (tolerance {tolerance})")
         if same_build and old["payload_fingerprint"] != new["payload_fingerprint"]:
@@ -142,9 +148,12 @@ def diff_table(golden: dict, current: dict) -> str:
     max_alpha = 0.0
     for key in sorted(set(golden["specs"]) & set(current["specs"]), key=lambda k: golden["specs"][k]["label"]):
         old, new = golden["specs"][key], current["specs"][key]
-        for name, a in old["headlines"].items():
-            b = new["headlines"][name]
+        for name, b in new["headlines"].items():
+            a = old["headlines"].get(name)
             if a == b:
+                continue
+            if not isinstance(a, float) or not isinstance(b, float):
+                rows.append(f"| {old['label']} | {name} | {a} | {b} | |")
                 continue
             delta = b - a if math.isfinite(a) and math.isfinite(b) else float("nan")
             if name.endswith("_alpha"):

@@ -13,7 +13,7 @@ from repro.benchmarking import (
     fit_rb_decay,
     rb_circuits,
 )
-from repro.benchmarking.fitting import error_per_clifford
+from repro.benchmarking.fitting import FIT_STATUSES, error_per_clifford
 from repro.circuits import transpile
 from repro.circuits.gate import Gate
 from repro.devices import fake_montreal
@@ -137,6 +137,34 @@ class TestDecayFitting:
     def test_too_few_points(self):
         with pytest.raises(ValidationError):
             fit_rb_decay([1, 2], [0.9, 0.8])
+
+    def test_status_and_reduced_chi2(self):
+        lengths = np.array([1, 16, 48, 96, 160])
+        decay = 0.5 * 0.99**lengths + 0.5
+        sigma = np.full(lengths.size, 0.01)
+        ok = fit_rb_decay(lengths, decay + np.array([1, -1, 1, -1, 1]) * 0.002, survival_stds=sigma)
+        assert ok.status == "ok"
+        assert ok.reduced_chi2 == pytest.approx(np.sum((ok.predicted() - ok.survival) ** 2) / 0.01**2 / 2)
+        # a decay towards a negative offset pins B to its lower bound
+        at_bound = fit_rb_decay(lengths, 0.9 * 0.995**lengths - 0.05, survival_stds=sigma)
+        assert (at_bound.status, at_bound.b) == ("at_bound", 0.0)
+        assert np.isfinite(at_bound.alpha_err)
+        # flat data: A = 0 leaves α undetermined
+        flat = fit_rb_decay(lengths, np.full(lengths.size, 0.6))
+        assert (flat.status, flat.a, flat.alpha_err) == ("covariance_singular", 0.0, np.inf)
+        # three lengths for three free parameters: no residual variance to scale by
+        three = fit_rb_decay(lengths[:3], decay[:3])
+        assert (three.status, three.alpha_err, three.reduced_chi2) == ("underdetermined", np.inf, np.inf)
+        assert three.alpha == pytest.approx(0.99, abs=1e-7)
+        # ... but absolute spreads still give finite errors
+        assert np.isfinite(fit_rb_decay(lengths[:3], decay[:3], survival_stds=sigma[:3]).alpha_err)
+        assert {ok.status, at_bound.status, flat.status, three.status} == set(FIT_STATUSES)
+
+    def test_non_finite_inputs_rejected(self):
+        with pytest.raises(ValidationError):
+            fit_rb_decay([1, 2, 3], [0.9, np.nan, 0.7])
+        with pytest.raises(ValidationError):
+            fit_rb_decay([-1, 2, 3], [0.9, 0.8, 0.7])
 
 
 class TestRBCircuits:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.benchmarking.clifford import clifford_group
+from repro.benchmarking.fitting import FIT_STATUSES
 from repro.benchmarking.cycle import cycle_sequences, pauli_indices, run_cycle_benchmark
 from repro.benchmarking.purity import purity_rb_sequences, run_purity_rb, state_purity
 from repro.benchmarking.xeb import (
@@ -174,3 +175,5 @@ class TestSessionIntegration:
         assert result.provenance["spec_fingerprint"] == spec.fingerprint()
         # the channel-table artifact that fed the run is recorded
         assert len(result.provenance["store_key"]) == 64
+        assert result["fit_status"] in FIT_STATUSES
+        assert result["reduced_chi2"] > 0
