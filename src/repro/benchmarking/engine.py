@@ -428,8 +428,9 @@ def _composed(context: _EngineContext, groups: list[_LengthGroup]) -> list[np.nd
             continue
         chosen = [groups[i] for i in order]
         lengths = [group.indices.shape[1] for group in chosen]
-        ends = np.cumsum([len(group.recovery) for group in chosen])
-        starts = ends - [len(group.recovery) for group in chosen]
+        counts = [len(group.recovery) for group in chosen]
+        ends = np.cumsum(counts)
+        starts = ends - counts
         positions = np.zeros((ends[-1], lengths[0]), dtype=np.intp)
         for group, start, end, m in zip(chosen, starts, ends, lengths):
             positions[start:end, :m] = np.searchsorted(ids, group.indices)

@@ -14,7 +14,7 @@ the model is linear in ``A`` and ``B``, so the weighted least-squares
 ``(A, B)`` over the box ``[0, 1]²`` has a closed form, and only the profile
 residual ``SSR(α)`` is minimized numerically — for a whole vector of ``α``
 candidates at once, first on a coarse grid over ``[0, 1]``, then on ever
-finer grids around the best candidate.  Every step is elementwise NumPy with
+finer grids around the best candidate, and last by a parabolic step.  Every step is elementwise NumPy with
 per-row sums, so a fit is bit-identical in any process at any BLAS thread
 count.
 """
@@ -179,7 +179,7 @@ def _solve_alpha(m, p, w, b_fixed):
     return best
 
 
-def _covariance(m, sigma, alpha, a, free_b, ssr, absolute_sigma):
+def _covariance(m, sigma, alpha, a, free_b, ssr, dof, absolute_sigma):
     """Parameter covariance at the solution with ``curve_fit``'s semantics.
 
     The weighted analytic Jacobian is pseudo-inverted, dropping singular
@@ -196,7 +196,6 @@ def _covariance(m, sigma, alpha, a, free_b, ssr, absolute_sigma):
     keep = s > np.finfo(float).eps * max(jac.shape) * s[0]
     vt, s = vt[keep], s[keep]
     cov = (vt[:, :, None] * vt[:, None, :] / (s * s)[:, None, None]).sum(axis=0)
-    dof = len(m) - jac.shape[1]
     if not absolute_sigma:
         cov = cov * (ssr / dof) if dof > 0 else np.full_like(cov, np.inf)
     singular = not keep.all() or not np.all(np.isfinite(cov))
@@ -249,9 +248,9 @@ def fit_rb_decay(
         # avoid zero-weight divisions for deterministic points
         sigma = np.where(sigma > 1e-6, sigma, 1e-6)
     free_b = p_asymptote is None
-    alpha, a, b, ssr = _solve_alpha(m, p, 1.0 / (sigma * sigma), p_asymptote)
-    cov, singular = _covariance(m, sigma, alpha, a, free_b, ssr, survival_stds is not None)
     dof = m.size - (3 if free_b else 2)
+    alpha, a, b, ssr = _solve_alpha(m, p, 1.0 / (sigma * sigma), p_asymptote)
+    cov, singular = _covariance(m, sigma, alpha, a, free_b, ssr, dof, survival_stds is not None)
     errors = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     if singular:
         errors = np.full_like(errors, np.inf)
@@ -269,7 +268,7 @@ def fit_rb_decay(
         alpha_err=float(errors[1]),
         a=a,
         a_err=float(errors[0]),
-        b=b if free_b else float(p_asymptote),
+        b=b,
         b_err=float(errors[2]) if free_b else 0.0,
         lengths=m,
         survival=p,

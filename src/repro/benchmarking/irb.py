@@ -25,6 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .clifford import clifford_group
+from .engine import clifford_channel_table, used_element_indices
 from .rb import RBResult, RBSequence, _check_engine, execute_rb_sequences, rb_circuits, rb_sequences
 from ..circuits.gate import Gate
 from ..pulse.schedule import Schedule
@@ -231,9 +233,6 @@ class InterleavedRBExperiment:
         if self.engine == "channels" and store:
             # both curves' elements in one table generation (each curve's
             # own coverage then finds them all on disk)
-            from .clifford import clifford_group
-            from .engine import clifford_channel_table, used_element_indices
-
             group = clifford_group(self.n_qubits, store=store)
             table = clifford_channel_table(self.backend, self.physical_qubits, group, store=store)
             table.ensure(used_element_indices(sequences))
