@@ -163,11 +163,11 @@ class TestBatchedPropagators:
 
         calls = []
         for name in ("pwc_liouvillian_total", "pwc_total_propagator"):
-            original = getattr(pulse_simulator, name)
-            monkeypatch.setattr(
-                pulse_simulator, name,
-                lambda *args, _name=name, _original=original: calls.append((_name, args)) or _original(*args),
-            )
+            def recording(*args, _name=name, _original=getattr(pulse_simulator, name)):
+                calls.append((_name, args))
+                return _original(*args)
+
+            monkeypatch.setattr(pulse_simulator, name, recording)
         if kind == "1q":  # a GRAPE-style pulse: 12 piecewise-constant slots
             rng = np.random.default_rng(3)
             waveform = pwc_waveform(rng.uniform(-0.2, 0.2, 12), rng.uniform(-0.2, 0.2, 12), samples_per_slot=40)

@@ -37,7 +37,6 @@ from repro.experiments.figures import (
     fig8_specs,
 )
 from repro.experiments.optimizers import ablation_duration_sweep, ablation_gradient
-from repro.experiments.table1 import TABLE1_ROWS, table1_row_specs
 from repro.pulse.channels import DriveChannel
 from repro.session import GRAPESpec, Session
 

@@ -167,6 +167,19 @@ def test_cache_keys_are_pinned(spec, key):
 
 
 class TestInvalidation:
+    def test_result_of_an_older_format_version_is_not_replayed(self, store):
+        """A result under the unversioned path (written before format v2) misses."""
+        spec = RBSpec(**FAST_RB)
+        cold, _ = _run(spec, store)
+        versioned = store.result_path(spec.cache_fingerprint(), cold.provenance["properties_fingerprint"])
+        assert versioned.relative_to(store.root).parts[:2] == ("results", "v2")
+        legacy = store.root / "results" / versioned.parent.name / versioned.name
+        legacy.parent.mkdir(parents=True)
+        versioned.rename(legacy)
+        again, stats = _run(spec, ArtifactStore(store.root))
+        assert not again.cache_hit
+        assert stats["executions"] == 1
+
     def test_spec_drift_misses(self, store):
         _run(RBSpec(**FAST_RB), store)
         drifted = RBSpec(**{**FAST_RB, "seed": 6})
