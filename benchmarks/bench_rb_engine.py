@@ -39,17 +39,8 @@ the ``channels`` engine (composing the warmed per-Clifford superoperator
 table) and once on the per-circuit ``circuits`` reference.  The per-depth
 fidelities and fitted layer fidelity must agree to ≤ 1e-6, and the
 channels path must be ≥ 5× faster (``protocol_zoo_gain``).
-
-``test_grape_sweep_batch`` benchmarks cross-point batched GRAPE: a sweep
-over seeds × initial-pulse scales of one gate model is run once with the
-planner's per-point fan-out (``grape_batch=False``) and once with the
-stacked optimization (the default).  The batched leg must plan exactly one
-``grape_batch`` prep step and produce a payload bit-identical (volatile
-wall-clock/root fields scrubbed) to the fan-out leg; the wall-clock ratio
-is the recorded ``grape_sweep_batch_gain``.
 """
 
-import json
 import os
 import time
 
@@ -60,7 +51,7 @@ from repro.benchmarking import InterleavedRBExperiment, clifford_channel_table
 from repro.benchmarking.clifford import CliffordGroup, clifford_group
 from repro.circuits.gate import Gate
 from repro.devices import fake_montreal
-from repro.session import GRAPESpec, IRBSpec, Session, SweepSpec
+from repro.session import GRAPESpec, IRBSpec, Session
 from repro.store import ArtifactStore
 from repro.store import channels as store_module
 
@@ -436,104 +427,3 @@ def test_protocol_zoo(benchmark, save_results, bench_metrics):
 # --------------------------------------------------------------------------- #
 # cross-point batched GRAPE: stacked sweep vs per-point fan-out
 # --------------------------------------------------------------------------- #
-
-#: Keys that legitimately differ between two otherwise-identical runs
-#: (wall clocks, store locations, per-run traces) and are scrubbed before
-#: the batched/fan-out payload comparison.  The stable contract — pulse
-#: amplitudes, iterate histories, fingerprints, cache keys — stays in.
-_VOLATILE_PAYLOAD_KEYS = {"timings", "store_root", "wall_time", "trace"}
-
-
-def _scrub_volatile(obj):
-    """Recursively drop the volatile keys from a result payload."""
-    if isinstance(obj, dict):
-        return {
-            key: _scrub_volatile(value)
-            for key, value in obj.items()
-            if key not in _VOLATILE_PAYLOAD_KEYS
-        }
-    if isinstance(obj, (list, tuple)):
-        return [_scrub_volatile(value) for value in obj]
-    return obj
-
-
-def _grape_sweep_batched_vs_fanout(root) -> dict:
-    """One GRAPE sweep run twice: per-point fan-out vs stacked pass."""
-    if SMOKE:
-        n_ts, seeds, scales, max_iter = 8, (7, 11), (0.25, 0.4), 25
-    else:
-        n_ts = 16
-        seeds = tuple(7 + 2 * index for index in range(8))
-        scales = (0.2, 0.3, 0.4)
-        max_iter = 80
-    base = GRAPESpec(
-        device="montreal", gate="x", qubits=(0,), duration_ns=105.0,
-        n_ts=n_ts, include_decoherence=False, max_iter=max_iter, seed=7,
-    )
-    sweep = SweepSpec(base=base, grid={"seed": seeds, "init_pulse_scale": scales})
-    n_points = len(seeds) * len(scales)
-
-    # pay the one-off model/import warm-up outside both timed legs
-    with Session(store=ArtifactStore(root / "warm"), num_workers=1) as session:
-        session.run(GRAPESpec(
-            device="montreal", gate="x", qubits=(0,), duration_ns=56.0,
-            n_ts=8, include_decoherence=False, max_iter=10, seed=1,
-        ))
-
-    def leg(name: str, batch: bool):
-        with Session(
-            store=ArtifactStore(root / name), num_workers=1, grape_batch=batch,
-        ) as session:
-            start = time.perf_counter()
-            result = session.run(sweep)
-            wall = time.perf_counter() - start
-            return result, wall, dict(session.stats), dict(session.prep_timings)
-
-    fan_result, fan_wall, fan_stats, _ = leg("fanout", False)
-    bat_result, bat_wall, bat_stats, bat_timings = leg("batched", True)
-
-    # compare through the lossless-JSON encoding (ndarray-safe, and the
-    # exact representation cached replays are served from)
-    fan_payload = _scrub_volatile(json.loads(fan_result.to_json())["payload"])
-    bat_payload = _scrub_volatile(json.loads(bat_result.to_json())["payload"])
-    identical = fan_payload == bat_payload
-    return {
-        "n_points": n_points,
-        "fanout_wall_clock_s": fan_wall,
-        "batched_wall_clock_s": bat_wall,
-        "grape_sweep_batch_gain": fan_wall / bat_wall,
-        "fanout_executions": fan_stats["executions"],
-        "batched_executions": bat_stats["executions"],
-        "batched_grape_batch_steps": sum(
-            1 for key in bat_timings if key[0] == "grape_batch"
-        ),
-        "payload_abs_diff": 0.0 if identical else 1.0,
-    }
-
-
-def test_grape_sweep_batch(benchmark, save_results, bench_metrics, tmp_path):
-    data = benchmark.pedantic(
-        _grape_sweep_batched_vs_fanout, args=(tmp_path,), rounds=1, iterations=1
-    )
-    # correctness: the stacked pass really ran (exactly one grape_batch
-    # prep step), every point still executed, and the sweep payload is
-    # bit-identical to the fan-out path once volatile fields are scrubbed
-    assert data["payload_abs_diff"] == 0.0
-    assert data["batched_grape_batch_steps"] == 1
-    assert data["fanout_executions"] == data["n_points"]
-    assert data["batched_executions"] == data["n_points"]
-    if not SMOKE:
-        # guard against a pathological stacking slowdown; the measured
-        # gain (~1.2-1.4x on a quiet single-core box, from fusing the
-        # per-iteration assembly/eigh/reconstruction passes) is enforced
-        # one-sidedly by the committed baseline
-        assert data["grape_sweep_batch_gain"] >= 0.9, (
-            f"batched sweep slower than fan-out: {data['grape_sweep_batch_gain']:.2f}x"
-        )
-    bench_metrics["grape_sweep_batch"] = {
-        "fanout_wall_clock_s": data["fanout_wall_clock_s"],
-        "batched_wall_clock_s": data["batched_wall_clock_s"],
-        "grape_sweep_batch_gain": data["grape_sweep_batch_gain"],
-        "payload_abs_diff": data["payload_abs_diff"],
-    }
-    save_results("grape_sweep_batch", data)

@@ -16,9 +16,9 @@ keyed by content (device name, qubit tuple, GRAPE-spec fingerprint), each
 listing its consumer specs; the session executes each step exactly once
 (guarded by per-key locks for concurrent ``submit()``) before fanning the
 experiments out.  The plan is wired, not run: the session decides where
-each step runs.  It sends the ``grape`` and ``grape_batch`` steps to its
-process pool, largest first, and builds the rest on its own thread
-meanwhile; a spec that needs a pulse waits only for its own step.
+each step runs.  It sends each ``grape`` step to its process pool as one
+call, largest first, and builds the rest on its own thread meanwhile; a
+spec that needs a pulse waits only for its own step.
 
 With a ``store`` attached the planner is additionally **cache-aware**:
 specs whose result is already in the store's ``results`` namespace (keyed
@@ -36,12 +36,6 @@ largest first):
 
 ``backend``
     Instantiate the device's :class:`~repro.backend.backend.PulseBackend`.
-``grape_batch``
-    Stack the cold points of a batchable GRAPE group (same device, qubits,
-    grid and model class — only initial conditions and targets differ) into
-    one cross-point optimization pass (see
-    :mod:`repro.core.grape_batch`); bit-identical to the per-point path,
-    gated by ``$REPRO_GRAPE_BATCH`` / ``plan_specs(batch_grape=...)``.
 ``grape``
     Run one pulse optimization (on the session's process pool) and lower
     it to a schedule.
@@ -56,10 +50,9 @@ largest first):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
-from .specs import ExperimentSpec, GRAPESpec
+from .specs import ExperimentSpec
 from ..utils.validation import ValidationError
 
 __all__ = [
@@ -69,35 +62,13 @@ __all__ = [
     "expand_specs",
     "prep_steps_for",
     "register_spec_planner",
-    "grape_batching_enabled",
-    "GRAPE_BATCH_ENV",
 ]
-
-#: Environment switch of cross-point GRAPE batching (default on).
-GRAPE_BATCH_ENV = "REPRO_GRAPE_BATCH"
-
-_FALSY = {"0", "false", "no", "off"}
 
 #: Build phase of each preparation kind.  Backends go first: a GRAPE step
 #: needs its device's properties.  The GRAPE steps, which a session runs on
 #: its process pool, go next, so the pool starts before the session builds
 #: the groups and tables on its own thread.
-_KIND_PHASE = {"backend": 0, "grape_batch": 1, "grape": 1, "group": 2, "table": 3}
-
-
-def grape_batching_enabled(flag: bool | None = None) -> bool:
-    """Resolve the GRAPE-batching switch from an argument and the environment.
-
-    Mirrors :func:`repro.store.results.result_cache_enabled`: batching is on
-    by default, ``flag=False`` (``Session(grape_batch=False)`` /
-    ``plan_specs(batch_grape=False)``) disables it, and
-    ``$REPRO_GRAPE_BATCH=0`` always wins so a per-point baseline can be
-    forced without touching code.
-    """
-    env = os.environ.get(GRAPE_BATCH_ENV)
-    env_ok = env is None or env.strip().lower() not in _FALSY
-    flag_ok = True if flag is None else bool(flag)
-    return env_ok and flag_ok
+_KIND_PHASE = {"backend": 0, "grape": 1, "group": 2, "table": 3}
 
 
 @dataclass(frozen=True)
@@ -299,73 +270,6 @@ def _plan_protocol_spec(spec) -> list[PrepStep]:
     ]
 
 
-def _grape_group_key(spec: GRAPESpec) -> tuple:
-    """Model-identity key of a GRAPE spec for cross-point batching.
-
-    Two specs with equal keys share the exact same drift/control
-    Hamiltonians and slot grid: the optimizer model depends only on the
-    device calibration, the qubit tuple, the transmon level count and the
-    gate *class* (every single-qubit gate uses the same Duffing model; CX
-    uses the CR model, and its two-qubit tuple already separates it).
-    Seeds, initial-pulse shapes, amplitude bounds, stopping criteria and
-    the target gate itself may all differ — they only change initial
-    conditions and targets, which the stacked evaluator carries per point.
-    """
-    return (
-        _canonical_device(spec.device),
-        spec.qubits,
-        spec.duration_ns,
-        spec.n_ts,
-        spec.optimizer_levels,
-        spec.gate.lower() == "cx",
-    )
-
-
-def _batchable_grape(spec: GRAPESpec) -> bool:
-    """Whether a GRAPE spec is eligible for the stacked closed-system pass."""
-    return spec.method.upper() == "LBFGS" and not spec.include_decoherence
-
-
-def _grape_batch_steps(
-    steps: dict[tuple, PrepStep], consumers: dict[tuple, list[int]]
-) -> None:
-    """Group batchable ``grape`` steps into ``grape_batch`` steps (in place).
-
-    Groups of ≥2 model-identical points get one ``grape_batch`` step whose
-    payload is the member spec tuple and whose consumers are the union of
-    the members'.  The per-point ``grape`` steps stay in the plan — they
-    order *after* the batch step, find their artifact already registered,
-    and keep the per-point keys (and hence pulse-cache entries and
-    provenance) exactly as the fan-out path produces them.
-    """
-    groups: dict[tuple, list[PrepStep]] = {}
-    for step in steps.values():
-        if step.kind != "grape":
-            continue
-        spec = step.payload
-        if isinstance(spec, GRAPESpec) and _batchable_grape(spec):
-            groups.setdefault(_grape_group_key(spec), []).append(step)
-    for group_key, members in groups.items():
-        if len(members) < 2:
-            continue
-        members = sorted(members, key=lambda s: s.key)
-        key = ("grape_batch", tuple(step.key[1] for step in members))
-        specs = tuple(step.payload for step in members)
-        device, qubits = group_key[0], group_key[1]
-        steps[key] = PrepStep(
-            key=key,
-            kind="grape_batch",
-            detail=f"stack {len(members)} pulse optimizations on {device} q{list(qubits)}",
-            payload=specs,
-        )
-        merged: list[int] = []
-        for step in members:
-            for position in consumers.get(step.key, []):
-                if position not in merged:
-                    merged.append(position)
-        consumers[key] = merged
-
-
 def _device_properties_fingerprint(device: str) -> str:
     """Properties fingerprint of a named device (no backend is built)."""
     from ..devices.library import get_device
@@ -373,7 +277,7 @@ def _device_properties_fingerprint(device: str) -> str:
     return get_device(device).fingerprint()
 
 
-def plan_specs(specs, store=None, properties_fingerprint=None, batch_grape=None) -> SessionPlan:
+def plan_specs(specs, store=None, properties_fingerprint=None) -> SessionPlan:
     """Build the deduplicated preparation plan of a batch of specs.
 
     Parameters
@@ -390,10 +294,6 @@ def plan_specs(specs, store=None, properties_fingerprint=None, batch_grape=None)
         ``device name -> properties fingerprint`` used for the cache
         probe.  Defaults to fingerprinting the library device; a session
         passes its own resolver so adopted backends are honoured.
-    batch_grape : bool, optional
-        Whether model-identical closed-system GRAPE points are grouped into
-        ``grape_batch`` steps (see :func:`grape_batching_enabled`; the
-        ``$REPRO_GRAPE_BATCH`` environment override always wins).
 
     Returns
     -------
@@ -426,8 +326,6 @@ def plan_specs(specs, store=None, properties_fingerprint=None, batch_grape=None)
         for step in prep_steps_for(spec):
             by_key.setdefault(step.key, step)
             consumers.setdefault(step.key, []).append(position)
-    if grape_batching_enabled(batch_grape):
-        _grape_batch_steps(by_key, consumers)
     ordered = sorted(by_key.values(), key=_build_order)
     return SessionPlan(specs=flat, steps=ordered, consumers=consumers, cached=cached)
 
@@ -448,15 +346,7 @@ def _grape_cost(spec) -> int:
 def _build_order(step: PrepStep) -> tuple:
     """Sort key of a plan step: its kind's phase, then the largest GRAPE first.
 
-    The longest optimization then starts at once.  A ``grape_batch`` step
-    costs its members' sum, so it precedes the per-point ``grape`` steps of
-    its members: the stacked pass registers their artifacts first, and the
-    solo steps find them already built.
+    The longest optimization then starts at once.
     """
-    if step.kind == "grape":
-        cost = _grape_cost(step.payload)
-    elif step.kind == "grape_batch":
-        cost = sum(_grape_cost(spec) for spec in step.payload)
-    else:
-        cost = 0
+    cost = _grape_cost(step.payload) if step.kind == "grape" else 0
     return (_KIND_PHASE[step.kind], -cost, step.key)

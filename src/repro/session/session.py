@@ -54,7 +54,6 @@ computed (all randomness flows from per-spec seeds).
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 import time
@@ -125,12 +124,6 @@ class Session:
     shadow_seed : int, optional
         Seed of the shadow sampling RNG (deterministic sampling for
         tests; never influences experiment payloads).
-    grape_batch : bool, optional
-        Whether batch plans group model-identical closed-system GRAPE
-        points into one cross-point stacked optimization (see
-        :mod:`repro.core.grape_batch`).  Defaults to on; pass ``False`` —
-        or set ``REPRO_GRAPE_BATCH=0``, which always wins — to force the
-        per-point baseline.  Results are bit-identical either way.
     """
 
     def __init__(
@@ -144,7 +137,6 @@ class Session:
         shadow_rate: float | None = None,
         trace_sink=None,
         shadow_seed: int | None = None,
-        grape_batch: bool | None = None,
     ):
         from ..store import resolve_store, result_cache_enabled
 
@@ -152,7 +144,6 @@ class Session:
         self.result_cache = self.store is not None and result_cache_enabled(result_cache)
         self.shadow = ShadowSampler(shadow_rate, seed=shadow_seed)
         self.trace_sink = resolve_trace_sink(trace_sink)
-        self.grape_batch = grape_batch
         self._trace_local = threading.local()
         self.num_workers = int(num_workers)
         # fork the process pool now, while this thread runs alone: a fork
@@ -182,7 +173,7 @@ class Session:
         #: Wall-clock seconds spent building each prep key (observability).
         #: A GRAPE key counts its optimization's own wall time, measured in
         #: the pool worker that ran it, plus publishing and lowering it
-        #: here; a ``grape_batch`` key counts its stacked optimization.
+        #: here.
         self.prep_timings: dict[tuple, float] = {}
         #: Per-session counters: ``cache_hits`` / ``cache_misses`` (result
         #: cache consultations), ``executions`` (specs actually executed)
@@ -346,7 +337,6 @@ class Session:
             specs,
             store=self.store if self.result_cache else None,
             properties_fingerprint=self.properties_fingerprint_for,
-            batch_grape=self.grape_batch,
         )
 
     # ------------------------------------------------------------------ #
@@ -355,11 +345,11 @@ class Session:
     def _build_plan(self, plan: SessionPlan) -> None:
         """Build every plan step exactly once; GRAPE runs on the pool.
 
-        Steps go in plan order: the backends, then every ``grape`` and
-        ``grape_batch`` step, largest problem first, then the groups and
-        tables.  A cold GRAPE step is sent to the persistent process pool
-        and registered as a pending artifact, so this thread builds the
-        groups and tables while the pool optimizes.  The method returns
+        Steps go in plan order: the backends, then every ``grape`` step,
+        largest problem first, then the groups and tables.  A cold GRAPE
+        step is sent to the persistent process pool and registered as a
+        pending artifact, so this thread builds the groups and tables while
+        the pool optimizes.  The method returns
         without waiting for a pulse: a spec that needs one waits for its
         own key when it executes (:meth:`_grape_artifact`).  At
         ``num_workers=1`` each optimization runs inline when it is
@@ -375,8 +365,7 @@ class Session:
         """Build one plan step through the exactly-once artifact registry.
 
         A ``grape`` step returns its registry entry, which is a
-        :class:`_PendingArtifact` while the pool still optimizes; a
-        ``grape_batch`` step returns one entry per member.
+        :class:`_PendingArtifact` while the pool still optimizes.
         """
         if step.kind == "group":
             return self._group_artifact(step.key[1])
@@ -384,8 +373,6 @@ class Session:
             return self.backend_for(step.key[1])
         if step.kind == "grape":
             return self._pulse_entry(step.payload)
-        if step.kind == "grape_batch":
-            return self._grape_batch_entries(step.payload)
         if step.kind == "table":
             return self._artifact(step.key, lambda: self._build_table(*step.key[1:]))
         raise ValidationError(f"unknown preparation kind {step.kind!r}")
@@ -474,26 +461,37 @@ class Session:
         def build():
             from ..experiments.gates import pulse_schedule_from_result
 
-            backend = self.backend_for(spec.device)
+            properties = self.backend_for(spec.device).properties
             config = spec.gate_config()
             optimization = self._stored_pulse(spec)
             if optimization is not None:
-                schedule = pulse_schedule_from_result(backend.properties, config, optimization)
-                return optimization, schedule
+                return optimization, pulse_schedule_from_result(properties, config, optimization)
+            # the pulse key is read with the optimization's inputs, so a
+            # properties snapshot swapped in before the pool finishes cannot
+            # mix into it
+            pulse_key = self._pulse_key(spec) if self.store is not None else None
             call = pool_submit(
                 _optimize_pulse,
-                backend.properties,
+                properties,
                 config,
                 spec.method_options() or None,
                 num_workers=self.num_workers,
             )
 
-            def optimize():
+            def finish():
                 optimization = call.result()
-                self._add_timing(key, call.seconds)
-                return optimization
+                start = time.perf_counter()
+                if pulse_key is not None:
+                    self.store.save_pulse(
+                        pulse_key,
+                        optimization,
+                        metadata={"device": _canonical(spec.device), "gate": spec.gate},
+                    )
+                pair = optimization, pulse_schedule_from_result(properties, config, optimization)
+                self._add_timing(key, call.seconds + time.perf_counter() - start)
+                return pair
 
-            return self._pending_pulse(key, spec, config, optimize)
+            return _PendingArtifact(finish)
 
         return self._register(key, build)
 
@@ -508,83 +506,10 @@ class Session:
             spec.cache_fingerprint(), self.properties_fingerprint_for(spec.device)
         )
 
-    def _pending_pulse(self, key: tuple, spec, config, optimize) -> "_PendingArtifact":
-        """A pending ``grape`` entry: ``optimize()`` waits for the pool's result.
-
-        Its first reader publishes the pulse to the store (when one is
-        attached) and lowers it to a schedule, once.  The pulse key and the
-        device properties are read now, with the optimization's inputs, so
-        a properties snapshot swapped in meanwhile cannot mix into them.
-        """
-        from ..experiments.gates import pulse_schedule_from_result
-
-        properties = self.backend_for(spec.device).properties
-        pulse_key = self._pulse_key(spec) if self.store is not None else None
-
-        def finish():
-            optimization = optimize()
-            start = time.perf_counter()
-            if pulse_key is not None:
-                self.store.save_pulse(
-                    pulse_key,
-                    optimization,
-                    metadata={"device": _canonical(spec.device), "gate": spec.gate},
-                )
-            pair = optimization, pulse_schedule_from_result(properties, config, optimization)
-            self._add_timing(key, time.perf_counter() - start)
-            return pair
-
-        return _PendingArtifact(finish)
-
     def _add_timing(self, key: tuple, seconds: float) -> None:
         """Add build seconds to one key of :attr:`prep_timings` (thread-safe)."""
         with self._stats_lock:
             self.prep_timings[key] = self.prep_timings.get(key, 0.0) + seconds
-
-    def _grape_batch_entries(self, specs: Sequence[GRAPESpec]) -> list:
-        """Dispatch a batchable GRAPE group, stacking the cold points.
-
-        Warm points — already in the artifact registry, or loadable from
-        the store's ``pulses`` namespace — resolve through the ordinary
-        per-point :meth:`_pulse_entry` path (no optimizer runs).  The
-        remaining cold points are optimized in **one** cross-point stacked
-        pass on the pool
-        (:func:`~repro.experiments.gates.optimize_gate_pulse_batch`,
-        bit-identical to per-point runs).  Each point is registered under
-        its per-point ``("grape", fingerprint)`` artifact key and persisted
-        under its unchanged per-point pulse key when first read — so
-        provenance, cache entries and every later lookup are
-        indistinguishable from the fan-out path.
-        """
-        from ..experiments.gates import optimize_gate_pulse_batch
-
-        cold: list[GRAPESpec] = []
-        for spec in specs:
-            if ("grape", spec.fingerprint()) in self._artifacts:
-                continue
-            if self._stored_pulse(spec) is not None:
-                continue  # warm point: the solo path loads it, no optimizer runs
-            cold.append(spec)
-        if len(cold) >= 2:
-            backend = self.backend_for(cold[0].device)
-            configs = [spec.gate_config() for spec in cold]
-            call = pool_submit(
-                optimize_gate_pulse_batch, backend.properties, configs, num_workers=self.num_workers
-            )
-            batch_key = ("grape_batch", tuple(sorted(s.fingerprint() for s in cold)))
-
-            def optimize(index: int):
-                optimizations = call.result()
-                with self._stats_lock:
-                    self.prep_timings.setdefault(batch_key, call.seconds)
-                return optimizations[index]
-
-            for index, (spec, config) in enumerate(zip(cold, configs)):
-                key = ("grape", spec.fingerprint())
-                entry = self._pending_pulse(key, spec, config, functools.partial(optimize, index))
-                self._register(key, lambda entry=entry: entry)
-        # a single cold point (or none) just runs the solo path below
-        return [self._pulse_entry(spec) for spec in specs]
 
     def _build_backend(self, device: str):
         from ..backend.backend import PulseBackend

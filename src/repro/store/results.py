@@ -320,6 +320,11 @@ class ResultMixin:
           yank a file mid-publication; a writer busy past ``lock_timeout``
           seconds is skipped, not waited for.
 
+        A bounded sweep also deletes every result an older format wrote
+        outside :data:`RESULTS_PREFIX` (e.g. ``results/<spec>/<props>.json``
+        or ``results/v1/...``), and counts it: such an entry is never
+        replayed, so no bound keeps it.
+
         Both bounds ``None`` make this a no-op, which keeps the default
         :meth:`~repro.store.core.StoreCore.prune` behaviour unchanged:
         cached results are only removed when a retention policy is asked
@@ -328,13 +333,18 @@ class ResultMixin:
         if max_bytes is None and max_age is None:
             return 0
         try:
-            storage_keys = self.backend.list_keys(f"{RESULTS_PREFIX}/")
+            storage_keys = self.backend.list_keys("results/")
         except OSError:
             return 0  # storage hiccup: skip this sweep, the next retries
         entries: list[tuple[float, int, str]] = []
+        stale = 0
         for storage_key in storage_keys:
             if not storage_key.endswith(".json"):
                 continue  # quarantined evidence and tmp litter are not entries
+            if not storage_key.startswith(f"{RESULTS_PREFIX}/"):
+                # an older format's result, which is never replayed
+                stale += self.backend.delete(storage_key)
+                continue
             entry_key = storage_key[len(RESULTS_PREFIX) + 1:-len(".json")]
             if "/" not in entry_key:
                 continue
@@ -357,7 +367,7 @@ class ResultMixin:
                 total -= size
                 evicted += 1
         self.backend.sweep_empty("results")
-        return evicted
+        return stale + evicted
 
     def _evict_result(
         self,

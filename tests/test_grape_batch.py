@@ -1,16 +1,14 @@
-"""Cross-point batched GRAPE: bit-identity, lockstep semantics, planning.
+"""Cross-point batched GRAPE: bit-identity and lockstep semantics.
 
-The whole feature's contract is that batching is a pure execution-strategy
-change: every per-point result — optimizer iterates, final amplitudes,
-pulse-cache entries, session payloads — is bit-identical to the per-point
-fan-out path.  These tests assert that contract at each layer: the stacked
-evaluator vs the solo cost/gradient, the batch driver vs solo optimizations,
-the planner's grouping, and a full session sweep under both modes.
+The library's contract is that batching is a pure execution-strategy
+change: every per-point result — optimizer iterates and final amplitudes —
+is bit-identical to the per-point path.  These tests assert that contract
+at each layer: the stacked evaluator vs the solo cost/gradient, and the
+batch driver vs solo optimizations.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 
 import numpy as np
@@ -25,9 +23,6 @@ from repro.experiments.gates import (
     optimize_gate_pulse_batch,
 )
 from repro.qobj.gates import standard_gate_unitary
-from repro.session import Session
-from repro.session.planner import grape_batching_enabled, plan_specs
-from repro.session.specs import GRAPESpec, SweepSpec
 from repro.utils.validation import ValidationError
 
 
@@ -203,110 +198,3 @@ class TestOptimizeGatePulseBatch:
         solo = [optimize_gate_pulse(montreal_props, c) for c in configs]
         for s, b in zip(solo, batch):
             assert np.array_equal(s.final_amps, b.final_amps)
-
-
-class TestPlannerBatching:
-    def _sweep(self, **base_overrides):
-        base = GRAPESpec(device="montreal", gate="x", qubits=(0,), duration_ns=105.0,
-                         n_ts=8, seed=7, **base_overrides)
-        return SweepSpec(base=base, grid={"seed": (7, 11, 23)})
-
-    def test_batchable_sweep_plans_one_batch_step(self):
-        plan = plan_specs([self._sweep()])
-        kinds = [s.kind for s in plan.steps]
-        assert kinds.count("grape_batch") == 1
-        assert kinds.count("grape") == 3
-        batch = next(s for s in plan.steps if s.kind == "grape_batch")
-        # the batch step orders before its member grape steps
-        assert kinds.index("grape_batch") < kinds.index("grape")
-        assert len(batch.payload) == 3
-        assert sorted(plan.consumers[batch.key]) == [0, 1, 2]
-
-    def test_open_system_and_non_lbfgs_points_stay_solo(self):
-        for sweep in (self._sweep(include_decoherence=True), self._sweep(method="GRAPE")):
-            plan = plan_specs([sweep])
-            assert all(s.kind != "grape_batch" for s in plan.steps)
-
-    def test_flag_and_env_gate(self, monkeypatch):
-        plan = plan_specs([self._sweep()], batch_grape=False)
-        assert all(s.kind != "grape_batch" for s in plan.steps)
-        monkeypatch.setenv("REPRO_GRAPE_BATCH", "0")
-        assert not grape_batching_enabled()
-        assert not grape_batching_enabled(True)  # env always wins
-        plan = plan_specs([self._sweep()])
-        assert all(s.kind != "grape_batch" for s in plan.steps)
-        monkeypatch.delenv("REPRO_GRAPE_BATCH")
-        assert grape_batching_enabled()
-        assert not grape_batching_enabled(False)
-
-
-def _scrub(obj):
-    """Drop run-volatile payload fields (wall clocks, store locations)."""
-    if isinstance(obj, dict):
-        return {
-            k: _scrub(v)
-            for k, v in obj.items()
-            if k not in ("timings", "store_root", "wall_time", "trace")
-        }
-    if isinstance(obj, list):
-        return [_scrub(v) for v in obj]
-    return obj
-
-
-class TestSessionBatchedSweep:
-    @pytest.fixture(scope="class")
-    def sweep(self):
-        return SweepSpec(
-            base=GRAPESpec(device="montreal", gate="x", qubits=(0,), duration_ns=105.0,
-                           n_ts=8, max_iter=25, seed=7),
-            grid={"seed": (7, 11), "init_pulse_scale": (0.25, 0.4)},
-        )
-
-    def _run(self, sweep, root, batch):
-        with Session(store=root, num_workers=1, trace_sink=False, grape_batch=batch) as s:
-            result = s.run_all([sweep])[0]
-            stats = s.stats_snapshot()
-            fps = {
-                point.fingerprint(): s.store.pulse_key(
-                    point.cache_fingerprint(), s.properties_fingerprint_for(point.device)
-                )
-                for point in sweep.expand()
-            }
-            pulses = {fp: s.store.load_pulse(key) for fp, key in fps.items()}
-        return result, stats, fps, pulses
-
-    def test_batched_sweep_bit_identical_to_fan_out(self, sweep, tmp_path):
-        r_off, st_off, keys_off, pulses_off = self._run(sweep, tmp_path / "off", False)
-        r_on, st_on, keys_on, pulses_on = self._run(sweep, tmp_path / "on", True)
-        # identical per-point payloads (wall clocks and paths scrubbed)
-        assert json.dumps(_scrub(r_off.payload), sort_keys=True, default=str) == \
-               json.dumps(_scrub(r_on.payload), sort_keys=True, default=str)
-        # identical pulse-cache keys and stored amplitudes
-        assert keys_off == keys_on
-        for fp, pulse in pulses_off.items():
-            assert pulse is not None and pulses_on[fp] is not None
-            assert np.array_equal(pulse.final_amps, pulses_on[fp].final_amps)
-            assert pulse.fid_err == pulses_on[fp].fid_err
-        # both modes execute every point exactly once
-        assert st_off["executions"] == st_on["executions"] == 4
-
-    def test_warm_replay_after_batched_run(self, sweep, tmp_path):
-        root = tmp_path / "warm"
-        cold, _, _, pulses_cold = self._run(sweep, root, True)
-        warm, stats, _, pulses_warm = self._run(sweep, root, True)
-        assert stats["executions"] == 0
-        # provenance legitimately differs (the replay records cache hits);
-        # the experiment payloads must not
-        def payload_only(obj):
-            if isinstance(obj, dict):
-                return {k: payload_only(v) for k, v in _scrub(obj).items() if k != "provenance"}
-            if isinstance(obj, list):
-                return [payload_only(v) for v in obj]
-            return obj
-
-        cold_children = [payload_only(c) for c in cold.payload["children"]]
-        warm_children = [payload_only(c) for c in warm.payload["children"]]
-        assert json.dumps(cold_children, sort_keys=True, default=str) == \
-               json.dumps(warm_children, sort_keys=True, default=str)
-        for fp, pulse in pulses_cold.items():
-            assert np.array_equal(pulse.final_amps, pulses_warm[fp].final_amps)

@@ -180,6 +180,20 @@ class TestInvalidation:
         assert not again.cache_hit
         assert stats["executions"] == 1
 
+    def test_bounded_prune_deletes_results_of_an_older_format(self, store):
+        """An unversioned result goes at any results bound; a current one stays."""
+        spec = RBSpec(**FAST_RB)
+        cold, _ = _run(spec, store)
+        properties = cold.provenance["properties_fingerprint"]
+        versioned = store.result_path(spec.cache_fingerprint(), properties)
+        legacy = store.root / "results" / versioned.parent.name / versioned.name
+        legacy.parent.mkdir(parents=True)
+        legacy.write_bytes(versioned.read_bytes())
+        assert store.prune(results_max_bytes=10**9) == 1
+        assert not legacy.exists() and not legacy.parent.exists()
+        assert versioned.exists()
+        assert store.has_result(spec.cache_fingerprint(), properties)
+
     def test_spec_drift_misses(self, store):
         _run(RBSpec(**FAST_RB), store)
         drifted = RBSpec(**{**FAST_RB, "seed": 6})

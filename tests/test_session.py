@@ -22,6 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from golden.paper_golden import paper_specs
+
 from repro.backend import PulseBackend
 from repro.benchmarking.irb import InterleavedRBExperiment
 from repro.benchmarking.rb import StandardRB
@@ -205,16 +207,25 @@ class TestPlanner:
         sweep = SweepSpec(base=GRAPESpec(**FAST_GRAPE), grid={"seed": (1, 2)})
         plan = plan_specs(specs + [sweep])
         kinds = [step.kind for step in plan.steps]
-        phases = [kind.replace("grape_batch", "grape") for kind in kinds]
-        assert phases == sorted(phases, key=["backend", "grape", "group", "table"].index)
-        grape = [step for step in plan.steps if step.kind.startswith("grape")]
-        # the 1193 ns CX first, the stacked sweep before its own points
+        assert kinds == sorted(kinds, key=["backend", "grape", "group", "table"].index)
+        grape = [step for step in plan.steps if step.kind == "grape"]
+        # the 1193 ns CX first; each sweep point is its own grape step
         assert grape[0].payload.gate == "cx"
-        batch = kinds.index("grape_batch")
-        members = {spec.fingerprint() for spec in plan.steps[batch].payload}
-        assert all(
-            plan.steps.index(step) > batch for step in grape if step.key[1] in members
-        )
+        points = {("grape", point.fingerprint()) for point in sweep.expand()}
+        assert len(points) == 2 and points <= {step.key for step in grape}
+
+    def test_paper_batch_plans_one_grape_step_per_pulse(self):
+        plan = plan_specs(paper_specs())
+        assert len(plan.specs) == 28
+        pulses = set()
+        for spec in plan.specs:
+            pulse = spec.calibration if spec.kind == "irb" else spec
+            if pulse is not None and pulse.kind in ("grape", "optimizer"):
+                pulses.add(("grape", pulse.canonical_pulse_spec().fingerprint()))
+        grape_keys = [step.key for step in plan.steps if step.kind == "grape"]
+        assert len(pulses) == 13
+        assert sorted(grape_keys) == sorted(pulses)
+        assert {step.kind for step in plan.steps} == {"backend", "grape", "group", "table"}
 
     def test_describe_mentions_sharing(self):
         plan = plan_specs([IRBSpec(**FAST_IRB), IRBSpec(**{**FAST_IRB, "shots": 300})])
