@@ -4,13 +4,14 @@ A full reproduction of Matekole, Fang & Lin, *Methods and Results for Quantum
 Pulse Control on Superconducting Systems* (IPPS 2022, arXiv:2202.03260),
 built from scratch on NumPy/SciPy:
 
-* ``repro.qobj``      — quantum objects, operators, metrics, superoperators
-* ``repro.solvers``   — Schrödinger / Lindblad solvers, PWC propagators
+* ``repro.qobj``      — operators, gate unitaries, superoperators and channel
+                        fidelity, all plain complex ``numpy.ndarray``
+* ``repro.solvers``   — matrix-exponential kernels, PWC propagators
 * ``repro.devices``   — Duffing transmon & cross-resonance device models,
                         calibration data, drift, fake IBM-Q devices
 * ``repro.pulse``     — pulse shapes, channels, schedules, calibrations
                         (OpenPulse / Qiskit-Pulse equivalent)
-* ``repro.circuits``  — circuits, transpiler, circuit→pulse scheduler
+* ``repro.circuits``  — circuits, transpiler
 * ``repro.backend``   — the pulse-level simulated backend (stand-in for the
                         IBM hardware), measurement and readout error
 * ``repro.benchmarking`` — Clifford groups, randomized benchmarking, IRB
@@ -34,7 +35,8 @@ built from scratch on NumPy/SciPy:
                         result retention; run it with
                         ``python -m repro.service`` (see docs/service.md)
 
-See README.md for a quickstart and DESIGN.md for the system inventory.
+See README.md for a quickstart and docs/architecture.md for the system
+inventory.
 """
 
 __version__ = "1.0.0"

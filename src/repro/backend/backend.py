@@ -11,8 +11,8 @@ reproduction:
   counts,
 * it caches the quantum channel of every calibrated gate so that circuit and
   randomized-benchmarking workloads compose cheap ``4^n × 4^n``
-  superoperators instead of re-integrating every pulse sample (see DESIGN.md
-  §5 — exact for Markovian noise).
+  superoperators instead of re-integrating every pulse sample (exact for
+  Markovian noise).
 
 Custom calibrations attached to a circuit via
 ``QuantumCircuit.add_calibration`` override the defaults, which is how the

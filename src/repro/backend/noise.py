@@ -95,5 +95,5 @@ def embed_channel(superop: np.ndarray, targets: Sequence[int], n_qubits: int) ->
     if len(targets) == n_qubits and targets == list(range(n_qubits)):
         return s
     kraus = choi_to_kraus(super_to_choi(s), atol=1e-12)
-    embedded = [expand_operator(k, n_qubits, targets).data for k in kraus]
+    embedded = [expand_operator(k, n_qubits, targets) for k in kraus]
     return kraus_to_super(embedded)

@@ -1,10 +1,11 @@
-"""Circuit layer: gates, quantum circuits, transpilation and pulse scheduling.
+"""Circuit layer: gates, quantum circuits and transpilation.
 
 The paper's workflow casts optimized pulses into *custom calibrated gates*,
 inserts them into quantum circuits, transpiles to the backend basis
-(``rz``, ``sx``, ``x``, ``cx`` plus measurement) and lowers the circuit to a
-pulse schedule through the instruction schedule map.  This package provides
-that tool-chain:
+(``rz``, ``sx``, ``x``, ``cx`` plus measurement); the backend then simulates
+each gate's pulse schedule, taken from the circuit's calibrations or the
+instruction schedule map.  This package provides the circuit half of that
+tool-chain:
 
 * :mod:`~repro.circuits.gate` — gate objects (standard, parametric, and
   custom unitaries),
@@ -13,16 +14,13 @@ that tool-chain:
 * :mod:`~repro.circuits.synthesis` — ZYZ and ZXZXZ (RZ–SX–RZ–SX–RZ)
   single-qubit resynthesis used by the transpiler,
 * :mod:`~repro.circuits.transpiler` — translation to the device basis with
-  coupling-map checking,
-* :mod:`~repro.circuits.scheduler` — lowering of transpiled circuits to pulse
-  :class:`~repro.pulse.schedule.Schedule` objects (virtual-Z as phase shifts).
+  coupling-map checking.
 """
 
 from .gate import Gate, Measurement, Barrier
 from .circuit import QuantumCircuit, CircuitInstruction
 from .synthesis import zyz_decomposition, u3_to_zxzxz, decompose_1q_to_basis
 from .transpiler import transpile, TranspileError
-from .scheduler import schedule_circuit, ScheduleError
 
 __all__ = [
     "Gate",
@@ -35,6 +33,4 @@ __all__ = [
     "decompose_1q_to_basis",
     "transpile",
     "TranspileError",
-    "schedule_circuit",
-    "ScheduleError",
 ]

@@ -246,7 +246,7 @@ class QuantumCircuit:
             op = inst.operation
             if not isinstance(op, Gate):
                 continue
-            embedded = expand_operator(op.unitary(), self.n_qubits, list(inst.qubits)).data
+            embedded = expand_operator(op.unitary(), self.n_qubits, list(inst.qubits))
             u = embedded @ u
         return u
 

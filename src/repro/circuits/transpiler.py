@@ -11,7 +11,7 @@ arbitrary circuit into that basis:
   single-qubit gates through standard identities,
 * gates that carry a *custom calibration* on the input circuit are passed
   through untouched (the whole point of the paper's workflow is that the
-  scheduler will use the attached pulse schedule for them) — this is the
+  backend will simulate the attached pulse schedule for them) — this is the
   "replacement confirmed in the transpiling process" step,
 * two-qubit gates are checked against the coupling map when one is given.
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..qobj.qobj import qobj_to_array
 from ..qobj.superop import unitary_superop
 
 __all__ = [
@@ -29,8 +28,8 @@ __all__ = [
 
 def psu_overlap(u_target: np.ndarray, u_final: np.ndarray) -> complex:
     """Normalized overlap ``f = Tr(U_t† U_f) / N`` (phase-sensitive complex number)."""
-    ut = qobj_to_array(u_target)
-    uf = qobj_to_array(u_final)
+    ut = np.asarray(u_target, dtype=complex)
+    uf = np.asarray(u_final, dtype=complex)
     return complex(np.trace(ut.conj().T @ uf) / ut.shape[0])
 
 
@@ -57,7 +56,7 @@ def superop_process_infidelity(target_unitary: np.ndarray, superop_final: np.nda
     target unitary.  Coincides with the closed-system PSU cost when the final
     channel is unitary.
     """
-    ut = qobj_to_array(target_unitary)
+    ut = np.asarray(target_unitary, dtype=complex)
     n = ut.shape[0]
     s_t = unitary_superop(ut)
     val = np.real(np.trace(s_t.conj().T @ np.asarray(superop_final, dtype=complex))) / n**2

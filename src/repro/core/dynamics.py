@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..qobj.qobj import qobj_to_array
 from ..qobj.superop import spost, spre
 from ..solvers.expm_utils import expm_batch, hermitian_eig_batch
 from ..solvers.propagator import (
@@ -86,7 +85,7 @@ def closed_evolution(
     """Assemble closed-system slot propagators and partial products."""
     if dt <= 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
-    h_slots = assemble_pwc_hamiltonians(qobj_to_array(drift), [qobj_to_array(c) for c in controls], amplitudes)
+    h_slots = assemble_pwc_hamiltonians(drift, controls, amplitudes)
     evals, evecs = hermitian_eig_batch(h_slots)
     phases = np.exp(-1j * dt * evals)
     steps = np.matmul(evecs * phases[:, None, :], np.conj(np.swapaxes(evecs, -1, -2)))
@@ -151,9 +150,9 @@ def open_evolution(
     """
     if dt <= 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
-    drift_arr = qobj_to_array(drift)
-    ctrl_arrs = [qobj_to_array(c) for c in controls]
-    c_op_arrs = [qobj_to_array(c) for c in c_ops] if c_ops else []
+    drift_arr = np.asarray(drift, dtype=complex)
+    ctrl_arrs = [np.asarray(c, dtype=complex) for c in controls]
+    c_op_arrs = [np.asarray(c, dtype=complex) for c in c_ops] if c_ops else []
     l_const, l_ctrls, control_generators = _open_model_constants(drift_arr, ctrl_arrs, c_op_arrs)
     amps = np.asarray(amplitudes, dtype=float)
     if amps.ndim != 2 or amps.shape[0] != len(ctrl_arrs):

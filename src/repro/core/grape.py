@@ -30,7 +30,6 @@ from .cost import psu_overlap, superop_process_infidelity, unitary_psu_infidelit
 from .dynamics import closed_evolution, open_evolution
 from .parametrization import clip_amplitudes
 from .result import OptimResult
-from ..qobj.qobj import qobj_to_array
 from ..qobj.superop import unitary_superop
 from ..solvers.expm_utils import expm_frechet_batch, loewner_gamma_batch
 from ..utils.validation import ValidationError
@@ -81,7 +80,7 @@ def _closed_cost_and_gradient(
     subspace_dim: int | None = None,
 ) -> tuple[float, np.ndarray]:
     evo = closed_evolution(drift, controls, amps, dt)
-    u_target = qobj_to_array(u_target)
+    u_target = np.asarray(u_target, dtype=complex)
     u_final = evo.final
     if subspace_dim is None:
         d = u_target.shape[0]
@@ -101,7 +100,7 @@ def _closed_cost_and_gradient(
     else:
         raise ValidationError(f"phase_option must be 'PSU' or 'SU', got {phase_option!r}")
 
-    ctrl_stack = np.stack([qobj_to_array(c) for c in controls]).astype(complex)
+    ctrl_stack = np.array(controls, dtype=complex)
     # Tr(left_k dU_jk right_k) = Tr(dU_jk M_k) with M_k = right_k left_k,
     # evaluated for all slots and controls at once.
     left = np.matmul(ut_dag, evo.backward)  # (N, d, d)
@@ -143,7 +142,7 @@ def _open_cost_and_gradient(
 ) -> tuple[float, np.ndarray]:
     evo = open_evolution(drift, controls, amps, dt, c_ops)
     n_ctrls, n_ts = amps.shape
-    u_target = qobj_to_array(u_target)
+    u_target = np.asarray(u_target, dtype=complex)
     s_final = evo.final
     if subspace_dim is None:
         d = u_target.shape[0]

@@ -46,7 +46,6 @@ from typing import Sequence
 import numpy as np
 
 from .grape import _einsum, _pre_step_stack
-from ..qobj.qobj import qobj_to_array
 from ..solvers.expm_utils import hermitian_eig_batch, loewner_gamma_batch
 from ..solvers.propagator import assemble_pwc_hamiltonians, pwc_cumulative_propagators
 from ..utils.validation import ValidationError
@@ -85,13 +84,13 @@ class StackedClosedEvaluator:
             raise ValidationError(f"phase_option must be 'PSU' or 'SU', got {phase_option!r}")
         if gradient not in ("exact", "approx"):
             raise ValidationError(f"gradient must be 'exact' or 'approx', got {gradient!r}")
-        self.drift = qobj_to_array(drift)
-        self.controls = [qobj_to_array(c) for c in controls]
+        self.drift = np.asarray(drift, dtype=complex)
+        self.controls = [np.asarray(c, dtype=complex) for c in controls]
         self.ctrl_stack = np.stack(self.controls).astype(complex)
         self.dt = float(dt)
         self.phase_option = phase_option
         self.gradient = gradient
-        targets = [qobj_to_array(t) for t in targets]
+        targets = [np.asarray(t, dtype=complex) for t in targets]
         if not targets:
             raise ValidationError("targets must be non-empty")
         # the (possibly subspace-masked) adjoint targets, exactly as the

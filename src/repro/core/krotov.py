@@ -33,7 +33,6 @@ from .cost import psu_overlap
 from .grape import evolution_operator
 from .parametrization import clip_amplitudes
 from .result import OptimResult
-from ..qobj.qobj import qobj_to_array
 from ..solvers.expm_utils import expm_unitary_step
 from ..utils.validation import ValidationError
 
@@ -77,9 +76,9 @@ def optimize_krotov(
         Optional per-slot window ``S_k`` (e.g. a sine ramp that keeps the
         pulse edges at zero); defaults to all ones.
     """
-    drift = qobj_to_array(drift)
-    ctrls = [qobj_to_array(c) for c in controls]
-    target = qobj_to_array(u_target)
+    drift = np.asarray(drift, dtype=complex)
+    ctrls = [np.asarray(c, dtype=complex) for c in controls]
+    target = np.asarray(u_target, dtype=complex)
     amps = clip_amplitudes(np.array(initial_amps, dtype=float), amp_lbound, amp_ubound)
     if amps.ndim != 2:
         raise ValidationError(f"initial_amps must be 2-D, got shape {amps.shape}")

@@ -12,8 +12,8 @@ Example
 >>> from repro.qobj import sigmax, sigmay, x_gate
 >>> result = optimize_pulse_unitary(
 ...     drift=np.zeros((2, 2)),
-...     controls=[0.5 * 2 * np.pi * 0.05 * sigmax(as_array=True),
-...               0.5 * 2 * np.pi * 0.05 * sigmay(as_array=True)],
+...     controls=[0.5 * 2 * np.pi * 0.05 * sigmax(),
+...               0.5 * 2 * np.pi * 0.05 * sigmay()],
 ...     initial=np.eye(2),
 ...     target=x_gate(),
 ...     n_ts=10,
@@ -39,7 +39,6 @@ from .lbfgs import optimize_lbfgs
 from .parametrization import TimeGrid, initial_amplitudes
 from .result import OptimResult
 from .spsa import optimize_spsa
-from ..qobj.qobj import qobj_to_array
 from ..utils.validation import ValidationError
 
 __all__ = ["OptimizerSpec", "optimize_pulse_unitary"]
@@ -98,7 +97,7 @@ def optimize_pulse_unitary(
     Parameters
     ----------
     drift:
-        Drift Hamiltonian ``H0`` (``Qobj`` or array), angular units.
+        Drift Hamiltonian ``H0`` (array), angular units.
     controls:
         Control Hamiltonians ``H_j``; the optimized pulse has one amplitude
         row per entry.
@@ -152,12 +151,12 @@ def optimize_pulse_unitary(
     method_key = method.upper()
     if method_key not in _METHODS:
         raise ValidationError(f"method must be one of {_METHODS}, got {method!r}")
-    drift_arr = qobj_to_array(drift)
-    ctrl_arrs = [qobj_to_array(c) for c in controls]
+    drift_arr = np.asarray(drift, dtype=complex)
+    ctrl_arrs = [np.asarray(c, dtype=complex) for c in controls]
     if not ctrl_arrs:
         raise ValidationError("at least one control Hamiltonian is required")
-    u0 = qobj_to_array(initial)
-    u_target = qobj_to_array(target)
+    u0 = np.asarray(initial, dtype=complex)
+    u_target = np.asarray(target, dtype=complex)
     if u0.shape != u_target.shape or u0.shape != drift_arr.shape:
         raise ValidationError(
             f"initial {u0.shape}, target {u_target.shape} and drift {drift_arr.shape} "

@@ -34,7 +34,7 @@ __all__ = ["CrossResonanceModel"]
 
 
 def _two_qubit_op(label: str) -> np.ndarray:
-    return pauli(label, as_array=True)
+    return pauli(label)
 
 
 @dataclass

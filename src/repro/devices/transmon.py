@@ -63,7 +63,7 @@ def duffing_drift(levels: int, anharmonicity_ghz: float, detuning_ghz: float = 0
     """
     if levels < 2:
         raise ValidationError(f"levels must be >= 2, got {levels}")
-    n_op = num(levels, as_array=True)
+    n_op = num(levels)
     drift = TWO_PI * detuning_ghz * n_op
     drift = drift + np.pi * anharmonicity_ghz * (n_op @ (n_op - np.eye(levels)))
     return drift
@@ -78,7 +78,7 @@ def drive_operators(levels: int, drive_strength_ghz: float) -> list[np.ndarray]:
     """
     if levels < 2:
         raise ValidationError(f"levels must be >= 2, got {levels}")
-    a = destroy(levels, as_array=True)
+    a = destroy(levels)
     hx = TWO_PI * drive_strength_ghz * 0.5 * (a + a.conj().T)
     hy = TWO_PI * drive_strength_ghz * 0.5 * (1j * (a.conj().T - a))
     return [hx, hy]
@@ -88,14 +88,15 @@ def collapse_operators(levels: int, t1_ns: float, t2_ns: float) -> list[np.ndarr
     """Collapse operators for amplitude damping (T1) and pure dephasing (T2).
 
     Returns operators already scaled by the square root of their rates so
-    they can be passed directly to :func:`repro.solvers.mesolve.mesolve`.
+    they can be passed directly as the ``c_ops`` of
+    :func:`repro.solvers.propagator.pwc_liouvillian_step_propagators`.
     """
     if t1_ns <= 0 or t2_ns <= 0:
         raise ValidationError("T1 and T2 must be positive")
     if t2_ns > 2.0 * t1_ns + 1e-9:
         raise ValidationError(f"T2 ({t2_ns}) cannot exceed 2*T1 ({2 * t1_ns})")
-    a = destroy(levels, as_array=True)
-    n_op = num(levels, as_array=True)
+    a = destroy(levels)
+    n_op = num(levels)
     ops = [np.sqrt(1.0 / t1_ns) * a]
     gamma_phi = 1.0 / t2_ns - 0.5 / t1_ns
     if gamma_phi > 0:

@@ -1,27 +1,21 @@
-"""Quantum object algebra: states, operators, superoperators and metrics.
+"""Quantum operators, gate unitaries, superoperators and channel fidelity.
 
-This package is a compact, NumPy-backed replacement for the subset of QuTiP
-that the paper relies on:
+Every object here is a plain complex ``numpy.ndarray``; kets are ``(d, 1)``
+column vectors, operators ``(d, d)`` matrices and superoperators act on
+column-stacked density matrices.  The package provides:
 
-* :class:`~repro.qobj.qobj.Qobj` — a thin wrapper around a dense complex
-  matrix carrying tensor-product dimension bookkeeping,
-* constructors for common operators (Pauli, ladder, number, projectors),
-  states (Fock basis, superposition, Bell), and standard gate unitaries,
-* tensor products, partial trace, operator embedding,
-* superoperator machinery (``spre``/``spost``, Liouvillians, Kraus/χ/PTM
-  conversions) needed for open-system dynamics and gate-channel caching,
-* fidelity/distance metrics (state fidelity, average gate fidelity, unitary
-  trace fidelity used as the paper's cost function),
-* Haar-random unitaries and random states for property-based testing.
-
-All heavy numerics accept and return plain ``numpy.ndarray``; ``Qobj`` exists
-for convenient, dimension-safe composition at the user-facing API level.
+* constructors for common operators (Pauli, ladder, number, projectors) and
+  computational-basis kets,
+* operator embedding into a larger tensor space (``expand_operator``),
+* superoperator machinery (``spre``/``spost``, Liouvillians, Kraus/Choi
+  conversions) for open-system dynamics and gate-channel caching,
+* the average gate fidelity of a channel against a target unitary,
+* the standard gate unitaries used as optimization targets and RB/IRB
+  references.
 """
 
-from .qobj import Qobj, qobj_to_array
 from .operators import (
     identity,
-    qeye,
     sigmax,
     sigmay,
     sigmaz,
@@ -31,25 +25,10 @@ from .operators import (
     destroy,
     create,
     num,
-    position,
-    momentum,
     projector_op,
 )
-from .states import (
-    basis,
-    fock,
-    ket2dm,
-    fock_dm,
-    maximally_mixed_dm,
-    plus_state,
-    minus_state,
-    bell_state,
-    ghz_state,
-    zero_ket,
-    coherent,
-    thermal_dm,
-)
-from .tensor import tensor, ptrace, expand_operator, permute_subsystems
+from .states import basis
+from .tensor import expand_operator
 from .superop import (
     spre,
     spost,
@@ -61,19 +40,9 @@ from .superop import (
     super_to_choi,
     choi_to_kraus,
     apply_superop,
-    is_cptp,
     average_gate_fidelity_from_super,
 )
-from .metrics import (
-    state_fidelity,
-    trace_distance,
-    purity,
-    unitary_overlap_fidelity,
-    unitary_infidelity,
-    average_gate_fidelity,
-    process_fidelity,
-    hilbert_schmidt_distance,
-)
+from .metrics import average_gate_fidelity
 from .gates import (
     x_gate,
     y_gate,
@@ -98,14 +67,10 @@ from .gates import (
     standard_gate_unitary,
     GATE_UNITARIES,
 )
-from .random import random_unitary, random_statevector, random_density_matrix, random_hermitian
 
 __all__ = [
-    "Qobj",
-    "qobj_to_array",
     # operators
     "identity",
-    "qeye",
     "sigmax",
     "sigmay",
     "sigmaz",
@@ -115,27 +80,11 @@ __all__ = [
     "destroy",
     "create",
     "num",
-    "position",
-    "momentum",
     "projector_op",
     # states
     "basis",
-    "fock",
-    "ket2dm",
-    "fock_dm",
-    "maximally_mixed_dm",
-    "plus_state",
-    "minus_state",
-    "bell_state",
-    "ghz_state",
-    "zero_ket",
-    "coherent",
-    "thermal_dm",
     # tensor
-    "tensor",
-    "ptrace",
     "expand_operator",
-    "permute_subsystems",
     # superop
     "spre",
     "spost",
@@ -147,17 +96,9 @@ __all__ = [
     "super_to_choi",
     "choi_to_kraus",
     "apply_superop",
-    "is_cptp",
     "average_gate_fidelity_from_super",
     # metrics
-    "state_fidelity",
-    "trace_distance",
-    "purity",
-    "unitary_overlap_fidelity",
-    "unitary_infidelity",
     "average_gate_fidelity",
-    "process_fidelity",
-    "hilbert_schmidt_distance",
     # gates
     "x_gate",
     "y_gate",
@@ -181,9 +122,4 @@ __all__ = [
     "cr_gate",
     "standard_gate_unitary",
     "GATE_UNITARIES",
-    # random
-    "random_unitary",
-    "random_statevector",
-    "random_density_matrix",
-    "random_hermitian",
 ]

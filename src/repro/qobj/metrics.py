@@ -1,132 +1,19 @@
-"""Fidelity and distance metrics for states, unitaries and channels.
+"""Channel fidelity against a target unitary.
 
-The paper's optimization cost function is the *unitary overlap infidelity*
-
-    C = 1 - |Tr(U_target† U_final)|^2 / N^2,
-
-implemented here as :func:`unitary_infidelity` (with the phase-sensitive
-variant also available).  State fidelity, trace distance, purity, process
-fidelity and average gate fidelity are provided for benchmarking and tests.
+The optimizers' cost functions live in :mod:`repro.core.cost`; this module
+scores an implemented (noisy) gate channel, as the session and the drift and
+optimizer studies do.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as la
 
-from .qobj import Qobj, qobj_to_array
-from ..utils.validation import ValidationError
+from .superop import average_gate_fidelity_from_super
 
-__all__ = [
-    "state_fidelity",
-    "trace_distance",
-    "purity",
-    "hilbert_schmidt_distance",
-    "unitary_overlap_fidelity",
-    "unitary_infidelity",
-    "average_gate_fidelity",
-    "process_fidelity",
-]
-
-
-def _as_density(state) -> np.ndarray:
-    arr = qobj_to_array(state)
-    if arr.ndim == 1 or (arr.ndim == 2 and arr.shape[1] == 1):
-        v = arr.reshape(-1, 1)
-        return v @ v.conj().T
-    return arr
-
-
-def state_fidelity(a, b) -> float:
-    """Uhlmann state fidelity ``F(a, b) = (Tr sqrt(sqrt(a) b sqrt(a)))^2``.
-
-    Accepts kets or density matrices in any combination; pure-state inputs
-    use the cheaper overlap formulas.
-    """
-    a_arr = qobj_to_array(a)
-    b_arr = qobj_to_array(b)
-    a_is_ket = a_arr.ndim == 1 or a_arr.shape[1] == 1
-    b_is_ket = b_arr.ndim == 1 or b_arr.shape[1] == 1
-    if a_is_ket and b_is_ket:
-        va = a_arr.reshape(-1)
-        vb = b_arr.reshape(-1)
-        return float(abs(np.vdot(va, vb)) ** 2)
-    if a_is_ket or b_is_ket:
-        ket = a_arr.reshape(-1) if a_is_ket else b_arr.reshape(-1)
-        rho = _as_density(b if a_is_ket else a)
-        return float(np.real(ket.conj() @ rho @ ket))
-    rho = _as_density(a)
-    sigma = _as_density(b)
-    sqrt_rho = la.sqrtm(rho)
-    inner = sqrt_rho @ sigma @ sqrt_rho
-    # Hermitize before the square root to suppress numerical noise
-    inner = 0.5 * (inner + inner.conj().T)
-    evals = np.clip(la.eigvalsh(inner), 0.0, None)
-    return float(np.sum(np.sqrt(evals)) ** 2)
-
-
-def trace_distance(a, b) -> float:
-    """Trace distance ``0.5 * ||a - b||_1`` between two states."""
-    rho = _as_density(a)
-    sigma = _as_density(b)
-    delta = rho - sigma
-    svals = np.linalg.svd(delta, compute_uv=False)
-    return float(0.5 * np.sum(svals))
-
-
-def purity(state) -> float:
-    """Purity ``Tr(rho^2)`` of a state."""
-    rho = _as_density(state)
-    return float(np.real(np.trace(rho @ rho)))
-
-
-def hilbert_schmidt_distance(a, b) -> float:
-    """Hilbert-Schmidt distance ``||a - b||_F`` between two operators."""
-    return float(np.linalg.norm(qobj_to_array(a) - qobj_to_array(b), ord="fro"))
-
-
-def unitary_overlap_fidelity(u_target, u_final, phase_sensitive: bool = False) -> float:
-    """Normalized unitary overlap fidelity.
-
-    Phase-insensitive (default, PSU — the paper's convention):
-        ``F = |Tr(U_t† U_f)|^2 / N^2``
-    Phase-sensitive (SU):
-        ``F = (Re Tr(U_t† U_f) / N + 1)^2 / 4`` is *not* used; instead we
-        return ``Re[Tr(U_t† U_f)] / N`` clipped to [0, 1] mapped through the
-        same quadratic form for continuity.  For optimization purposes the
-        phase-insensitive form is what `pulseoptim` minimizes.
-    """
-    ut = qobj_to_array(u_target)
-    uf = qobj_to_array(u_final)
-    if ut.shape != uf.shape:
-        raise ValidationError(f"unitary shapes differ: {ut.shape} vs {uf.shape}")
-    n = ut.shape[0]
-    tr = np.trace(ut.conj().T @ uf)
-    if phase_sensitive:
-        val = (np.real(tr) / n + 1.0) ** 2 / 4.0
-    else:
-        val = abs(tr) ** 2 / n**2
-    return float(min(max(val, 0.0), 1.0 + 1e-12))
-
-
-def unitary_infidelity(u_target, u_final, phase_sensitive: bool = False) -> float:
-    """Gate infidelity ``1 - F`` with ``F`` from :func:`unitary_overlap_fidelity`.
-
-    This is exactly the cost function ``C = 1 - |Tr(U_t† U_f)|^2 / N^2`` the
-    paper minimizes.
-    """
-    return float(1.0 - unitary_overlap_fidelity(u_target, u_final, phase_sensitive))
-
-
-def process_fidelity(channel_super, target_unitary) -> float:
-    """Process fidelity of a channel superoperator against a target unitary."""
-    from .superop import process_fidelity_from_super
-
-    return process_fidelity_from_super(np.asarray(channel_super, dtype=complex), target_unitary)
+__all__ = ["average_gate_fidelity"]
 
 
 def average_gate_fidelity(channel_super, target_unitary) -> float:
     """Average gate fidelity of a channel superoperator against a target unitary."""
-    from .superop import average_gate_fidelity_from_super
-
     return average_gate_fidelity_from_super(np.asarray(channel_super, dtype=complex), target_unitary)

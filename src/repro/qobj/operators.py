@@ -1,21 +1,17 @@
 """Common operator constructors (Pauli, ladder, number, projectors).
 
-Each constructor returns a :class:`~repro.qobj.qobj.Qobj` by default; pass
-``as_array=True`` to obtain the plain ``numpy.ndarray`` used in solver hot
-paths.  Multi-level (transmon) operators take an explicit ``levels`` argument
-so the same code path serves both two-level qubit models and three-or-more
-level Duffing-oscillator models.
+Each constructor returns a fresh complex ``numpy.ndarray``.  Multi-level
+(transmon) operators take an explicit ``levels`` argument so the same code
+path serves both two-level qubit models and three-or-more level
+Duffing-oscillator models.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .qobj import Qobj
-
 __all__ = [
     "identity",
-    "qeye",
     "sigmax",
     "sigmay",
     "sigmaz",
@@ -25,8 +21,6 @@ __all__ = [
     "destroy",
     "create",
     "num",
-    "position",
-    "momentum",
     "projector_op",
 ]
 
@@ -35,22 +29,14 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _maybe_wrap(arr: np.ndarray, as_array: bool) -> Qobj | np.ndarray:
-    return arr if as_array else Qobj(arr)
-
-
-def identity(n: int = 2, as_array: bool = False):
+def identity(n: int = 2) -> np.ndarray:
     """Identity operator on an ``n``-dimensional space."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    return _maybe_wrap(np.eye(n, dtype=complex), as_array)
+    return np.eye(n, dtype=complex)
 
 
-#: QuTiP-compatible alias for :func:`identity`.
-qeye = identity
-
-
-def sigmax(levels: int = 2, as_array: bool = False):
+def sigmax(levels: int = 2) -> np.ndarray:
     """Pauli-X, embedded in the lowest two levels of a ``levels``-dim space.
 
     For ``levels > 2`` the operator acts as σx on the computational subspace
@@ -59,38 +45,38 @@ def sigmax(levels: int = 2, as_array: bool = False):
     """
     op = np.zeros((levels, levels), dtype=complex)
     op[:2, :2] = _SIGMA_X
-    return _maybe_wrap(op, as_array)
+    return op
 
 
-def sigmay(levels: int = 2, as_array: bool = False):
+def sigmay(levels: int = 2) -> np.ndarray:
     """Pauli-Y embedded in the lowest two levels (see :func:`sigmax`)."""
     op = np.zeros((levels, levels), dtype=complex)
     op[:2, :2] = _SIGMA_Y
-    return _maybe_wrap(op, as_array)
+    return op
 
 
-def sigmaz(levels: int = 2, as_array: bool = False):
+def sigmaz(levels: int = 2) -> np.ndarray:
     """Pauli-Z embedded in the lowest two levels (see :func:`sigmax`)."""
     op = np.zeros((levels, levels), dtype=complex)
     op[:2, :2] = _SIGMA_Z
-    return _maybe_wrap(op, as_array)
+    return op
 
 
-def sigmap(levels: int = 2, as_array: bool = False):
+def sigmap(levels: int = 2) -> np.ndarray:
     """Qubit raising operator ``|1><0|`` embedded in the lowest two levels."""
     op = np.zeros((levels, levels), dtype=complex)
     op[1, 0] = 1.0
-    return _maybe_wrap(op, as_array)
+    return op
 
 
-def sigmam(levels: int = 2, as_array: bool = False):
+def sigmam(levels: int = 2) -> np.ndarray:
     """Qubit lowering operator ``|0><1|`` embedded in the lowest two levels."""
     op = np.zeros((levels, levels), dtype=complex)
     op[0, 1] = 1.0
-    return _maybe_wrap(op, as_array)
+    return op
 
 
-def pauli(label: str, as_array: bool = False):
+def pauli(label: str) -> np.ndarray:
     """Return a (possibly multi-qubit) Pauli operator from its label.
 
     ``label`` is a string over ``{I, X, Y, Z}``; multi-character labels are
@@ -106,51 +92,34 @@ def pauli(label: str, as_array: bool = False):
     label = label.upper()
     if not label or any(ch not in singles for ch in label):
         raise ValueError(f"invalid Pauli label {label!r}; must be a string over I/X/Y/Z")
-    op = singles[label[0]]
+    # copy, so a caller writing into the result cannot corrupt the constants
+    op = singles[label[0]].copy()
     for ch in label[1:]:
         op = np.kron(op, singles[ch])
-    if as_array:
-        return op
-    n = len(label)
-    return Qobj(op, dims=[[2] * n, [2] * n])
+    return op
 
 
-def destroy(levels: int, as_array: bool = False):
+def destroy(levels: int) -> np.ndarray:
     """Bosonic annihilation operator truncated to ``levels`` levels."""
     if levels < 2:
         raise ValueError(f"levels must be >= 2, got {levels}")
-    op = np.diag(np.sqrt(np.arange(1, levels, dtype=float)), k=1).astype(complex)
-    return _maybe_wrap(op, as_array)
+    return np.diag(np.sqrt(np.arange(1, levels, dtype=float)), k=1).astype(complex)
 
 
-def create(levels: int, as_array: bool = False):
+def create(levels: int) -> np.ndarray:
     """Bosonic creation operator truncated to ``levels`` levels."""
-    a = destroy(levels, as_array=True)
-    return _maybe_wrap(a.conj().T, as_array)
+    return destroy(levels).conj().T
 
 
-def num(levels: int, as_array: bool = False):
+def num(levels: int) -> np.ndarray:
     """Number operator ``a† a`` truncated to ``levels`` levels."""
-    op = np.diag(np.arange(levels, dtype=float)).astype(complex)
-    return _maybe_wrap(op, as_array)
+    return np.diag(np.arange(levels, dtype=float)).astype(complex)
 
 
-def position(levels: int, as_array: bool = False):
-    """Dimensionless position quadrature ``(a + a†)/sqrt(2)``."""
-    a = destroy(levels, as_array=True)
-    return _maybe_wrap((a + a.conj().T) / np.sqrt(2.0), as_array)
-
-
-def momentum(levels: int, as_array: bool = False):
-    """Dimensionless momentum quadrature ``-i (a - a†)/sqrt(2)``."""
-    a = destroy(levels, as_array=True)
-    return _maybe_wrap(-1j * (a - a.conj().T) / np.sqrt(2.0), as_array)
-
-
-def projector_op(level: int, levels: int, as_array: bool = False):
+def projector_op(level: int, levels: int) -> np.ndarray:
     """Projector ``|level><level|`` on a ``levels``-dimensional space."""
     if not 0 <= level < levels:
         raise ValueError(f"level must be in [0, {levels}), got {level}")
     op = np.zeros((levels, levels), dtype=complex)
     op[level, level] = 1.0
-    return _maybe_wrap(op, as_array)
+    return op

@@ -1,138 +1,18 @@
-"""Common quantum state constructors (kets and density matrices)."""
+"""Computational-basis state constructor."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .qobj import Qobj
 from ..utils.validation import ValidationError
 
-__all__ = [
-    "basis",
-    "fock",
-    "zero_ket",
-    "ket2dm",
-    "fock_dm",
-    "maximally_mixed_dm",
-    "plus_state",
-    "minus_state",
-    "bell_state",
-    "ghz_state",
-    "coherent",
-    "thermal_dm",
-]
+__all__ = ["basis"]
 
 
-def basis(dim: int, n: int = 0, as_array: bool = False):
-    """Computational-basis ket ``|n>`` in a ``dim``-dimensional space."""
+def basis(dim: int, n: int = 0) -> np.ndarray:
+    """Computational-basis ket ``|n>`` in a ``dim``-dimensional space (column vector)."""
     if not 0 <= n < dim:
         raise ValidationError(f"basis index must satisfy 0 <= n < {dim}, got {n}")
     ket = np.zeros((dim, 1), dtype=complex)
     ket[n, 0] = 1.0
-    return ket if as_array else Qobj(ket)
-
-
-#: QuTiP-compatible alias for :func:`basis`.
-fock = basis
-
-
-def zero_ket(dim: int, as_array: bool = False):
-    """The all-zeros (unnormalized) ket, useful as an accumulator."""
-    ket = np.zeros((dim, 1), dtype=complex)
-    return ket if as_array else Qobj(ket)
-
-
-def ket2dm(ket) -> Qobj:
-    """Convert a ket (``Qobj`` or array) into the corresponding density matrix."""
-    if isinstance(ket, Qobj):
-        if not ket.isket:
-            raise ValidationError("ket2dm requires a ket")
-        vec = ket.data
-        dims = [ket.dims[0], ket.dims[0]]
-    else:
-        vec = np.asarray(ket, dtype=complex).reshape(-1, 1)
-        dims = None
-    return Qobj(vec @ vec.conj().T, dims=dims)
-
-
-def fock_dm(dim: int, n: int = 0) -> Qobj:
-    """Density matrix of the Fock/computational basis state ``|n><n|``."""
-    return ket2dm(basis(dim, n))
-
-
-def maximally_mixed_dm(dim: int) -> Qobj:
-    """The maximally mixed state ``I/dim``."""
-    return Qobj(np.eye(dim, dtype=complex) / dim)
-
-
-def plus_state(as_array: bool = False):
-    """Single-qubit ``|+> = (|0> + |1>)/sqrt(2)``."""
-    ket = np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2.0)
-    return ket if as_array else Qobj(ket)
-
-
-def minus_state(as_array: bool = False):
-    """Single-qubit ``|-> = (|0> - |1>)/sqrt(2)``."""
-    ket = np.array([[1.0], [-1.0]], dtype=complex) / np.sqrt(2.0)
-    return ket if as_array else Qobj(ket)
-
-
-def bell_state(which: str = "phi+", as_array: bool = False):
-    """One of the four two-qubit Bell states.
-
-    ``which`` is one of ``"phi+"``, ``"phi-"``, ``"psi+"``, ``"psi-"``.
-    """
-    amp = 1.0 / np.sqrt(2.0)
-    table = {
-        "phi+": np.array([amp, 0, 0, amp]),
-        "phi-": np.array([amp, 0, 0, -amp]),
-        "psi+": np.array([0, amp, amp, 0]),
-        "psi-": np.array([0, amp, -amp, 0]),
-    }
-    key = which.lower()
-    if key not in table:
-        raise ValidationError(f"unknown Bell state {which!r}; choose from {sorted(table)}")
-    ket = table[key].astype(complex).reshape(-1, 1)
-    return ket if as_array else Qobj(ket, dims=[[2, 2], [1, 1]])
-
-
-def ghz_state(n_qubits: int = 3, as_array: bool = False):
-    """The ``n_qubits`` GHZ state ``(|0...0> + |1...1>)/sqrt(2)``."""
-    if n_qubits < 1:
-        raise ValidationError(f"n_qubits must be >= 1, got {n_qubits}")
-    dim = 2**n_qubits
-    ket = np.zeros((dim, 1), dtype=complex)
-    ket[0, 0] = 1.0 / np.sqrt(2.0)
-    ket[-1, 0] = 1.0 / np.sqrt(2.0)
-    return ket if as_array else Qobj(ket, dims=[[2] * n_qubits, [1] * n_qubits])
-
-
-def coherent(dim: int, alpha: complex, as_array: bool = False):
-    """Truncated coherent state ``|alpha>`` in a ``dim``-level oscillator.
-
-    Constructed directly from the normalized Fock-space amplitudes and then
-    re-normalized to compensate for the truncation.
-    """
-    n = np.arange(dim)
-    # amplitudes alpha^n / sqrt(n!), computed in log space for stability
-    log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    amps = np.exp(n * np.log(complex(alpha)) - 0.5 * log_fact) if alpha != 0 else np.eye(dim)[0].astype(complex)
-    if alpha != 0:
-        amps = np.asarray(amps, dtype=complex)
-        amps *= np.exp(-0.5 * abs(alpha) ** 2)
-    ket = amps.reshape(-1, 1)
-    nrm = np.linalg.norm(ket)
-    ket = ket / nrm
-    return ket if as_array else Qobj(ket)
-
-
-def thermal_dm(dim: int, n_mean: float) -> Qobj:
-    """Truncated thermal (Bose-Einstein) state with mean occupation ``n_mean``."""
-    if n_mean < 0:
-        raise ValidationError(f"n_mean must be >= 0, got {n_mean}")
-    if n_mean == 0:
-        return fock_dm(dim, 0)
-    n = np.arange(dim, dtype=float)
-    probs = (n_mean / (1.0 + n_mean)) ** n / (1.0 + n_mean)
-    probs = probs / probs.sum()  # renormalize after truncation
-    return Qobj(np.diag(probs).astype(complex))
+    return ket

@@ -6,8 +6,8 @@ Superoperators are represented as dense matrices acting on column-stacked
     vec(A X B) = (B^T ⊗ A) vec(X).
 
 This module provides the Liouvillian/Lindblad constructions used by the
-master-equation solver, conversions between superoperator, Choi and Kraus
-representations (used for CPTP checks and channel-fidelity metrics), and the
+open-system PWC propagators, conversions between superoperator, Choi and
+Kraus representations (used to compose the backend's noise channels), and the
 average-gate-fidelity formula used when comparing an implemented noisy gate
 channel against an ideal target unitary.
 """
@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.linalg as la
 
-from .qobj import Qobj, qobj_to_array
 from ..utils.linalg import vec, unvec
 from ..utils.validation import ValidationError
 
@@ -32,11 +31,8 @@ __all__ = [
     "unitary_superop",
     "kraus_to_super",
     "super_to_choi",
-    "choi_to_super",
     "choi_to_kraus",
     "apply_superop",
-    "is_cptp",
-    "is_trace_preserving",
     "average_gate_fidelity_from_super",
     "process_fidelity_from_super",
 ]
@@ -44,28 +40,28 @@ __all__ = [
 
 def spre(op) -> np.ndarray:
     """Superoperator for left multiplication: ``rho -> op rho``."""
-    a = qobj_to_array(op)
+    a = np.asarray(op, dtype=complex)
     n = a.shape[0]
     return np.kron(np.eye(n, dtype=complex), a)
 
 
 def spost(op) -> np.ndarray:
     """Superoperator for right multiplication: ``rho -> rho op``."""
-    a = qobj_to_array(op)
+    a = np.asarray(op, dtype=complex)
     n = a.shape[0]
     return np.kron(a.T, np.eye(n, dtype=complex))
 
 
 def sprepost(a, b) -> np.ndarray:
     """Superoperator for ``rho -> a rho b``."""
-    a = qobj_to_array(a)
-    b = qobj_to_array(b)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
     return np.kron(b.T, a)
 
 
 def unitary_superop(u) -> np.ndarray:
     """Superoperator of the unitary channel ``rho -> U rho U†``."""
-    u = qobj_to_array(u)
+    u = np.asarray(u, dtype=complex)
     return np.kron(u.conj(), u)
 
 
@@ -74,7 +70,7 @@ def lindblad_dissipator(c_op) -> np.ndarray:
 
     ``D[c](rho) = c rho c† - (c†c rho + rho c†c)/2``
     """
-    c = qobj_to_array(c_op)
+    c = np.asarray(c_op, dtype=complex)
     cdc = c.conj().T @ c
     return sprepost(c, c.conj().T) - 0.5 * (spre(cdc) + spost(cdc))
 
@@ -92,12 +88,12 @@ def liouvillian(h, c_ops: Iterable | None = None) -> np.ndarray:
         root of its rate).
     """
     if h is not None:
-        h_arr = qobj_to_array(h)
+        h_arr = np.asarray(h, dtype=complex)
         lv = -1j * (spre(h_arr) - spost(h_arr))
     else:
         if c_ops is None:
             raise ValidationError("liouvillian requires a Hamiltonian or collapse operators")
-        first = qobj_to_array(next(iter(c_ops)))
+        first = np.asarray(next(iter(c_ops)), dtype=complex)
         n = first.shape[0]
         lv = np.zeros((n * n, n * n), dtype=complex)
     if c_ops is not None:
@@ -108,7 +104,7 @@ def liouvillian(h, c_ops: Iterable | None = None) -> np.ndarray:
 
 def apply_superop(superop: np.ndarray, rho) -> np.ndarray:
     """Apply a superoperator to a density matrix and return the new matrix."""
-    rho_arr = qobj_to_array(rho)
+    rho_arr = np.asarray(rho, dtype=complex)
     n = rho_arr.shape[0]
     out = superop @ vec(rho_arr)
     return unvec(out, (n, n))
@@ -116,7 +112,7 @@ def apply_superop(superop: np.ndarray, rho) -> np.ndarray:
 
 def kraus_to_super(kraus_ops: Sequence) -> np.ndarray:
     """Build the superoperator of the channel with the given Kraus operators."""
-    kraus = [qobj_to_array(k) for k in kraus_ops]
+    kraus = [np.asarray(k, dtype=complex) for k in kraus_ops]
     if not kraus:
         raise ValidationError("kraus_to_super requires at least one Kraus operator")
     n = kraus[0].shape[0]
@@ -147,16 +143,6 @@ def super_to_choi(superop: np.ndarray) -> np.ndarray:
     return choi
 
 
-def choi_to_super(choi: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`super_to_choi` (the reshuffle is an involution)."""
-    c = np.asarray(choi, dtype=complex)
-    d2 = c.shape[0]
-    d = int(round(np.sqrt(d2)))
-    c4 = c.reshape(d, d, d, d)
-    s = np.transpose(c4, (3, 1, 2, 0)).reshape(d2, d2)
-    return s
-
-
 def choi_to_kraus(choi: np.ndarray, atol: float = 1e-10) -> list[np.ndarray]:
     """Extract Kraus operators from a Choi matrix via its eigendecomposition."""
     c = np.asarray(choi, dtype=complex)
@@ -173,33 +159,13 @@ def choi_to_kraus(choi: np.ndarray, atol: float = 1e-10) -> list[np.ndarray]:
     return kraus
 
 
-def is_trace_preserving(superop: np.ndarray, atol: float = 1e-8) -> bool:
-    """Check that the channel preserves trace: ``sum_k K_k† K_k = I``."""
-    s = np.asarray(superop, dtype=complex)
-    d2 = s.shape[0]
-    d = int(round(np.sqrt(d2)))
-    # Tr(E(rho)) = vec(I)† S vec(rho) must equal vec(I)† vec(rho) for all rho
-    vec_id = vec(np.eye(d, dtype=complex))
-    return bool(np.allclose(vec_id.conj() @ s, vec_id.conj(), atol=atol))
-
-
-def is_cptp(superop: np.ndarray, atol: float = 1e-8) -> bool:
-    """Check complete positivity (Choi PSD) and trace preservation."""
-    choi = super_to_choi(superop)
-    choi = 0.5 * (choi + choi.conj().T)
-    evals = la.eigvalsh(choi)
-    if np.any(evals < -atol * max(1.0, abs(evals).max())):
-        return False
-    return is_trace_preserving(superop, atol=atol)
-
-
 def process_fidelity_from_super(superop: np.ndarray, target_unitary) -> float:
     """Process (entanglement) fidelity of a channel w.r.t. a target unitary.
 
     ``F_pro = Tr(S_target† S) / d^2`` for the column-stacking superoperator
     representation, which equals the overlap of the normalized Choi states.
     """
-    u = qobj_to_array(target_unitary)
+    u = np.asarray(target_unitary, dtype=complex)
     d = u.shape[0]
     s_target = unitary_superop(u)
     val = np.trace(s_target.conj().T @ np.asarray(superop, dtype=complex)).real / d**2
@@ -212,7 +178,7 @@ def average_gate_fidelity_from_super(superop: np.ndarray, target_unitary) -> flo
     Uses the standard relation ``F_avg = (d * F_pro + 1) / (d + 1)`` between
     average gate fidelity and process fidelity (Horodecki/Nielsen formula).
     """
-    u = qobj_to_array(target_unitary)
+    u = np.asarray(target_unitary, dtype=complex)
     d = u.shape[0]
     f_pro = process_fidelity_from_super(superop, u)
     return float((d * f_pro + 1.0) / (d + 1.0))

@@ -1,135 +1,24 @@
-"""Tensor products, partial trace, operator embedding and subsystem permutation.
-
-These functions are dimension-aware: when given :class:`Qobj` inputs they
-propagate the tensor-structure ``dims``; when given raw arrays the subsystem
-dimensions must be supplied explicitly.
-"""
+"""Embedding an operator on a few subsystems into a larger tensor space."""
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .qobj import Qobj, qobj_to_array
 from ..utils.validation import ValidationError
 
-__all__ = ["tensor", "ptrace", "expand_operator", "permute_subsystems"]
+__all__ = ["expand_operator"]
 
 
-def tensor(*objs) -> Qobj:
-    """Kronecker/tensor product of the given ``Qobj`` (or array) factors.
-
-    The leftmost factor is the most significant tensor slot (qubit 0),
-    matching the big-endian convention used throughout this library.
-    """
-    if len(objs) == 1 and isinstance(objs[0], (list, tuple)):
-        objs = tuple(objs[0])
-    if not objs:
-        raise ValidationError("tensor() requires at least one factor")
-    datas = []
-    row_dims: list[int] = []
-    col_dims: list[int] = []
-    for obj in objs:
-        if isinstance(obj, Qobj):
-            datas.append(obj.data)
-            row_dims.extend(obj.dims[0])
-            col_dims.extend(obj.dims[1])
-        else:
-            arr = np.asarray(obj, dtype=complex)
-            if arr.ndim == 1:
-                arr = arr.reshape(-1, 1)
-            datas.append(arr)
-            row_dims.append(arr.shape[0])
-            col_dims.append(arr.shape[1])
-    data = reduce(np.kron, datas)
-    return Qobj(data, dims=[row_dims, col_dims])
-
-
-def _as_density_with_dims(state, dims: Sequence[int] | None) -> tuple[np.ndarray, list[int]]:
-    """Normalize input into (density matrix, subsystem dims)."""
-    if isinstance(state, Qobj):
-        sub_dims = state.dims[0]
-        if state.isket:
-            vec = state.data
-            rho = vec @ vec.conj().T
-        elif state.isbra:
-            vec = state.data.conj().T
-            rho = vec @ vec.conj().T
-        else:
-            rho = state.data
-    else:
-        arr = np.asarray(state, dtype=complex)
-        if arr.ndim == 1 or (arr.ndim == 2 and arr.shape[1] == 1):
-            vec = arr.reshape(-1, 1)
-            rho = vec @ vec.conj().T
-        else:
-            rho = arr
-        if dims is None:
-            raise ValidationError("ptrace of a raw array requires explicit subsystem dims")
-        sub_dims = list(dims)
-    if dims is not None:
-        sub_dims = list(dims)
-    if int(np.prod(sub_dims)) != rho.shape[0]:
-        raise ValidationError(
-            f"subsystem dims {sub_dims!r} inconsistent with state dimension {rho.shape[0]}"
-        )
-    return rho, list(map(int, sub_dims))
-
-
-def ptrace(state, keep: int | Iterable[int], dims: Sequence[int] | None = None) -> Qobj:
-    """Partial trace of ``state``, keeping only the subsystems in ``keep``.
-
-    Parameters
-    ----------
-    state:
-        Ket, bra or density operator (``Qobj`` or array).
-    keep:
-        Index or indices (0-based, leftmost tensor factor = 0) of subsystems
-        to retain.
-    dims:
-        Subsystem dimensions; required when ``state`` is a raw array.
-
-    Returns
-    -------
-    Qobj
-        The reduced density operator on the kept subsystems, in their
-        original relative order.
-    """
-    if isinstance(keep, (int, np.integer)):
-        keep_list = [int(keep)]
-    else:
-        keep_list = sorted(int(k) for k in keep)
-    rho, sub_dims = _as_density_with_dims(state, dims)
-    n_sub = len(sub_dims)
-    if any(k < 0 or k >= n_sub for k in keep_list):
-        raise ValidationError(f"keep indices {keep_list} out of range for {n_sub} subsystems")
-    if len(set(keep_list)) != len(keep_list):
-        raise ValidationError(f"duplicate subsystem indices in keep: {keep_list}")
-
-    traced = [i for i in range(n_sub) if i not in keep_list]
-    # reshape into 2*n_sub tensor legs: (row legs..., col legs...)
-    tensor_rho = rho.reshape(sub_dims + sub_dims)
-    # contract each traced subsystem's row leg with its col leg
-    # do it iteratively from the highest index so leg positions stay valid
-    for count, idx in enumerate(sorted(traced, reverse=True)):
-        n_row_legs = n_sub - count  # current number of row legs
-        tensor_rho = np.trace(tensor_rho, axis1=idx, axis2=idx + n_row_legs)
-    keep_dims = [sub_dims[i] for i in keep_list]
-    d = int(np.prod(keep_dims)) if keep_dims else 1
-    out = tensor_rho.reshape(d, d)
-    return Qobj(out, dims=[keep_dims or [1], keep_dims or [1]])
-
-
-def expand_operator(op, n_subsystems: int, targets: int | Sequence[int], dims: Sequence[int] | None = None) -> Qobj:
+def expand_operator(op, n_subsystems: int, targets: int | Sequence[int], dims: Sequence[int] | None = None) -> np.ndarray:
     """Embed an operator acting on ``targets`` into a larger tensor space.
 
     Parameters
     ----------
     op:
-        Operator (``Qobj`` or array) acting on the target subsystems, with
-        its tensor factors ordered as listed in ``targets``.
+        Operator acting on the target subsystems, with its tensor factors
+        ordered as listed in ``targets``.
     n_subsystems:
         Total number of subsystems in the full space.
     targets:
@@ -140,7 +29,7 @@ def expand_operator(op, n_subsystems: int, targets: int | Sequence[int], dims: S
 
     Returns
     -------
-    Qobj
+    np.ndarray
         The embedded operator ``I ⊗ ... ⊗ op ⊗ ... ⊗ I`` with the operator's
         factors routed to the requested subsystem slots (in any order).
     """
@@ -158,7 +47,7 @@ def expand_operator(op, n_subsystems: int, targets: int | Sequence[int], dims: S
     if any(t < 0 or t >= n_subsystems for t in targets):
         raise ValidationError(f"target indices {targets} out of range for {n_subsystems} subsystems")
 
-    op_arr = qobj_to_array(op)
+    op_arr = np.asarray(op, dtype=complex)
     target_dims = [dims[t] for t in targets]
     d_target = int(np.prod(target_dims))
     if op_arr.shape != (d_target, d_target):
@@ -177,8 +66,7 @@ def expand_operator(op, n_subsystems: int, targets: int | Sequence[int], dims: S
     current_dims = target_dims + rest_dims
     # permutation that maps current position -> desired subsystem index
     perm = [current_order.index(i) for i in range(n_subsystems)]
-    out = _permute_matrix(full, current_dims, perm)
-    return Qobj(out, dims=[dims, dims])
+    return _permute_matrix(full, current_dims, perm)
 
 
 def _permute_matrix(mat: np.ndarray, sub_dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
@@ -194,32 +82,3 @@ def _permute_matrix(mat: np.ndarray, sub_dims: Sequence[int], perm: Sequence[int
     out = np.transpose(tens, axes)
     d = int(np.prod(dims))
     return np.ascontiguousarray(out.reshape(d, d))
-
-
-def permute_subsystems(obj, order: Sequence[int], dims: Sequence[int] | None = None) -> Qobj:
-    """Reorder the tensor factors of a ket or operator.
-
-    ``order[i]`` is the index of the current subsystem that should be moved to
-    position ``i`` in the output.
-    """
-    order = [int(o) for o in order]
-    if isinstance(obj, Qobj):
-        sub_dims = obj.dims[0]
-        data = obj.data
-        isket = obj.isket
-    else:
-        data = np.asarray(obj, dtype=complex)
-        isket = data.ndim == 1 or (data.ndim == 2 and data.shape[1] == 1)
-        if dims is None:
-            raise ValidationError("permuting a raw array requires explicit dims")
-        sub_dims = list(dims)
-    n = len(sub_dims)
-    if sorted(order) != list(range(n)):
-        raise ValidationError(f"order must be a permutation of 0..{n - 1}, got {order}")
-    new_dims = [sub_dims[o] for o in order]
-    if isket:
-        vec = data.reshape(sub_dims)
-        out = np.transpose(vec, order).reshape(-1, 1)
-        return Qobj(out, dims=[new_dims, [1] * n])
-    out = _permute_matrix(data, sub_dims, order)
-    return Qobj(out, dims=[new_dims, new_dims])

@@ -18,19 +18,11 @@ __all__ = [
     "expm_hermitian_batch",
     "expm_unitary_step",
     "expm_unitary_step_batch",
-    "expm_general",
     "expm_batch",
     "expm_frechet_batch",
-    "expm_frechet_hermitian",
-    "expm_frechet_hermitian_multi",
     "hermitian_eig_batch",
     "loewner_gamma_batch",
 ]
-
-
-def expm_general(m: np.ndarray) -> np.ndarray:
-    """General dense matrix exponential (scipy Padé); use for Liouvillians."""
-    return la.expm(np.asarray(m, dtype=complex))
 
 
 def expm_hermitian(h: np.ndarray, scale: complex = 1.0) -> np.ndarray:
@@ -52,76 +44,6 @@ def expm_hermitian(h: np.ndarray, scale: complex = 1.0) -> np.ndarray:
 def expm_unitary_step(h: np.ndarray, dt: float) -> np.ndarray:
     """Single-step unitary propagator ``exp(-i H dt)`` for Hermitian ``H``."""
     return expm_hermitian(h, scale=-1j * dt)
-
-
-def expm_frechet_hermitian(h: np.ndarray, direction: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Propagator and its exact Fréchet derivative for a Hermitian generator.
-
-    Computes ``U = exp(-i H dt)`` and the directional derivative
-
-        ``dU = d/dε exp(-i (H + ε E) dt) |_{ε=0}``
-
-    using the spectral (Loewner matrix / divided differences) formula:
-
-        ``dU = V [ (V† (-i dt E) V) ∘ Γ ] V†``
-
-    where ``H = V Λ V†``, ``Γ_{kl} = (e^{-i λ_k dt} - e^{-i λ_l dt}) /
-    (-i dt (λ_k - λ_l))`` for ``λ_k ≠ λ_l`` and ``Γ_{kk} = e^{-i λ_k dt}``.
-
-    This is the exact gradient used by GRAPE when ``gradient="exact"``.
-
-    Returns
-    -------
-    (U, dU):
-        The step propagator and the Fréchet derivative in direction ``E``.
-    """
-    h = np.asarray(h, dtype=complex)
-    e = np.asarray(direction, dtype=complex)
-    evals, v = la.eigh(h)
-    phases = np.exp(-1j * dt * evals)
-    u = (v * phases) @ v.conj().T
-
-    # Loewner matrix of divided differences of f(x) = exp(-i x dt)
-    lam_diff = evals[:, None] - evals[None, :]
-    phase_diff = phases[:, None] - phases[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = np.where(
-            np.abs(lam_diff) > 1e-12,
-            phase_diff / np.where(np.abs(lam_diff) > 1e-12, lam_diff, 1.0),
-            -1j * dt * phases[:, None],
-        )
-    e_eig = v.conj().T @ e @ v
-    du = v @ (gamma * e_eig) @ v.conj().T
-    return u, du
-
-
-def expm_frechet_hermitian_multi(
-    h: np.ndarray, directions: list[np.ndarray] | tuple[np.ndarray, ...], dt: float
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Propagator and Fréchet derivatives for several directions at once.
-
-    Identical to :func:`expm_frechet_hermitian` but reuses the (dominant-cost)
-    eigendecomposition of ``H`` across all directions — this is the inner
-    loop of exact-gradient GRAPE, where every time slot needs the derivative
-    with respect to each control Hamiltonian.
-    """
-    h = np.asarray(h, dtype=complex)
-    evals, v = la.eigh(h)
-    phases = np.exp(-1j * dt * evals)
-    u = (v * phases) @ v.conj().T
-    lam_diff = evals[:, None] - evals[None, :]
-    phase_diff = phases[:, None] - phases[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = np.where(
-            np.abs(lam_diff) > 1e-12,
-            phase_diff / np.where(np.abs(lam_diff) > 1e-12, lam_diff, 1.0),
-            -1j * dt * phases[:, None],
-        )
-    derivatives = []
-    for direction in directions:
-        e_eig = v.conj().T @ np.asarray(direction, dtype=complex) @ v
-        derivatives.append(v @ (gamma * e_eig) @ v.conj().T)
-    return u, derivatives
 
 
 # --------------------------------------------------------------------------- #
@@ -173,8 +95,8 @@ def loewner_gamma_batch(evals: np.ndarray, dt: float) -> np.ndarray:
 
     Returns ``gamma`` such that the Fréchet derivative of ``exp(-i H_k dt)``
     in direction ``E`` is ``V_k [ (V_k† E V_k) ∘ gamma_k ] V_k†`` — the same
-    convention as the scalar :func:`expm_frechet_hermitian` (the ``-i dt``
-    factor of the diagonal/derivative is folded into ``gamma``).
+    Loewner form of the derivative (the ``-i dt`` factor of the
+    diagonal/derivative is folded into ``gamma``).
     """
     phases = np.exp(-1j * dt * np.asarray(evals))
     lam_diff = evals[..., :, None] - evals[..., None, :]

@@ -16,8 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expm_utils import expm_batch, expm_general, expm_unitary_step, expm_unitary_step_batch
-from ..qobj.qobj import qobj_to_array
+from .expm_utils import expm_batch, expm_unitary_step_batch
 from ..qobj.superop import liouvillian
 from ..utils.validation import ValidationError
 
@@ -31,7 +30,6 @@ __all__ = [
     "pwc_cumulative_propagators",
     "pwc_liouvillian_step_propagators",
     "pwc_liouvillian_total",
-    "propagator",
 ]
 
 
@@ -61,7 +59,7 @@ def chain_propagator_product(steps: np.ndarray, initial: np.ndarray | None = Non
             mats = reduced
         out = mats[0]
     if initial is not None:
-        out = out @ qobj_to_array(initial)
+        out = out @ np.asarray(initial, dtype=complex)
     return out
 
 
@@ -85,8 +83,8 @@ def assemble_pwc_hamiltonians(
     -------
     ndarray of shape ``(n_slots, d, d)``.
     """
-    h0 = qobj_to_array(drift)
-    ctrls = np.stack([qobj_to_array(c) for c in controls]) if len(controls) else np.zeros((0, *h0.shape))
+    h0 = np.asarray(drift, dtype=complex)
+    ctrls = np.stack([np.asarray(c, dtype=complex) for c in controls]) if len(controls) else np.zeros((0, *h0.shape))
     amps = np.asarray(amplitudes, dtype=float)
     if amps.ndim != 2:
         raise ValidationError(f"amplitudes must be 2-D (n_controls, n_slots), got shape {amps.shape}")
@@ -210,8 +208,8 @@ def assemble_pwc_liouvillians(
 
     Returns an array of shape ``(n_slots, d^2, d^2)``.
     """
-    h0 = qobj_to_array(drift)
-    ctrl_arrs = [qobj_to_array(c) for c in controls]
+    h0 = np.asarray(drift, dtype=complex)
+    ctrl_arrs = [np.asarray(c, dtype=complex) for c in controls]
     amps = np.asarray(amplitudes, dtype=float)
     if amps.ndim != 2:
         raise ValidationError(f"amplitudes must be 2-D (n_controls, n_slots), got shape {amps.shape}")
@@ -219,7 +217,7 @@ def assemble_pwc_liouvillians(
         raise ValidationError(
             f"amplitudes first dimension ({amps.shape[0]}) must equal number of controls ({len(ctrl_arrs)})"
         )
-    c_arrs = [qobj_to_array(c) for c in c_ops]
+    c_arrs = [np.asarray(c, dtype=complex) for c in c_ops]
     l_const = liouvillian(h0, c_arrs if c_arrs else None)
     l_ctrls = np.stack([liouvillian(hj, None) for hj in ctrl_arrs]) if ctrl_arrs else None
     return combine_pwc_liouvillians(l_const, l_ctrls, amps)
@@ -255,26 +253,3 @@ def pwc_liouvillian_total(
     steps = pwc_liouvillian_step_propagators(drift, controls, amplitudes, dt, c_ops)
     return chain_propagator_product(steps)
 
-
-def propagator(
-    hamiltonian,
-    total_time: float,
-    n_steps: int = 1,
-    c_ops: Sequence[np.ndarray] = (),
-) -> np.ndarray:
-    """Propagator of a *time-independent* Hamiltonian over ``total_time``.
-
-    Returns the unitary ``exp(-i H T)`` if no collapse operators are given,
-    otherwise the superoperator ``exp(L T)``.  ``n_steps`` exists for API
-    symmetry with the PWC helpers (the result is independent of it for a
-    constant generator) and is validated for positivity.
-    """
-    if n_steps < 1:
-        raise ValidationError(f"n_steps must be >= 1, got {n_steps}")
-    if total_time < 0:
-        raise ValidationError(f"total_time must be >= 0, got {total_time}")
-    h = qobj_to_array(hamiltonian)
-    if not c_ops:
-        return expm_unitary_step(h, total_time)
-    lv = liouvillian(h, [qobj_to_array(c) for c in c_ops])
-    return expm_general(lv * total_time)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .backends import DictBackend, FlakyBackend, LocalFSBackend, StorageBackend, StorageStat
+from .backends import DictBackend, LocalFSBackend, StorageBackend, StorageStat
 from .channels import STORE_FORMAT_VERSION, ChannelTableHandle, ChannelTableMixin
 from .core import NAMESPACES, StoreCore, StoreNamespace, default_store_root
 from .groups import GROUP_FORMAT_VERSION, GroupMixin
@@ -54,7 +54,6 @@ __all__ = [
     "StorageStat",
     "LocalFSBackend",
     "DictBackend",
-    "FlakyBackend",
     "default_store_root",
     "resolve_store",
     "result_cache_enabled",

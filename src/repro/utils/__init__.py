@@ -1,64 +1,25 @@
-"""Shared utilities: linear algebra helpers, validation, seeding, parallel map.
+"""Shared utilities: ``vec``/``unvec``, validation, seeding, parallel map, locks.
 
 These are intentionally small, dependency-free building blocks used across the
-whole library.  Everything here operates on plain :class:`numpy.ndarray`
-objects so it can be reused both below (``repro.qobj``) and above
-(``repro.core``) the quantum-object layer.
+whole library.
 """
 
-from .linalg import (
-    is_hermitian,
-    is_unitary,
-    is_density_matrix,
-    dagger,
-    commutator,
-    anticommutator,
-    frobenius_norm,
-    spectral_norm,
-    nearest_unitary,
-    nearest_hermitian,
-    vec,
-    unvec,
-    overlap,
-    projector,
-    gram_schmidt,
-)
+from .linalg import vec, unvec
 from .validation import (
     ValidationError,
-    require,
-    check_square,
-    check_shape,
     check_positive,
     check_probability,
-    check_in_range,
 )
 from .seeding import default_rng, spawn_rngs, stable_hash_seed
 from .parallel import parallel_map, pool_start_method, shutdown_pool
 from .locks import FileLock
 
 __all__ = [
-    "is_hermitian",
-    "is_unitary",
-    "is_density_matrix",
-    "dagger",
-    "commutator",
-    "anticommutator",
-    "frobenius_norm",
-    "spectral_norm",
-    "nearest_unitary",
-    "nearest_hermitian",
     "vec",
     "unvec",
-    "overlap",
-    "projector",
-    "gram_schmidt",
     "ValidationError",
-    "require",
-    "check_square",
-    "check_shape",
     "check_positive",
     "check_probability",
-    "check_in_range",
     "default_rng",
     "spawn_rngs",
     "stable_hash_seed",

@@ -1,110 +1,15 @@
-"""Dense linear-algebra helpers used throughout the library.
+"""Column-stacking (``vec``) helpers for the superoperator convention.
 
-All functions operate on plain ``numpy.ndarray`` objects (complex128 by
-default) and favour vectorized NumPy / SciPy calls over Python loops, per the
-scientific-Python performance guidelines: prefer ``scipy.linalg`` routines,
-avoid needless copies, and keep matrices contiguous.
+``vec`` stacks a matrix's columns (Fortran order), the convention for which
+``vec(A X B) = (B^T ⊗ A) vec(X)`` holds; :mod:`repro.qobj.superop` builds
+its superoperators on it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as la
 
-__all__ = [
-    "is_hermitian",
-    "is_unitary",
-    "is_density_matrix",
-    "dagger",
-    "commutator",
-    "anticommutator",
-    "frobenius_norm",
-    "spectral_norm",
-    "nearest_unitary",
-    "nearest_hermitian",
-    "vec",
-    "unvec",
-    "overlap",
-    "projector",
-    "gram_schmidt",
-]
-
-#: Default absolute tolerance for structural matrix checks.
-DEFAULT_ATOL = 1e-10
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Return the conjugate transpose (Hermitian adjoint) of ``a``."""
-    return np.conj(np.swapaxes(np.asarray(a), -1, -2))
-
-
-def is_hermitian(a: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
-    """Check whether ``a`` is Hermitian within absolute tolerance ``atol``."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    return bool(np.allclose(a, a.conj().T, atol=atol, rtol=0.0))
-
-
-def is_unitary(a: np.ndarray, atol: float = 1e-8) -> bool:
-    """Check whether ``a`` is unitary: ``a a† = I`` within ``atol``."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    eye = np.eye(a.shape[0], dtype=complex)
-    return bool(np.allclose(a @ a.conj().T, eye, atol=atol, rtol=0.0))
-
-
-def is_density_matrix(a: np.ndarray, atol: float = 1e-8) -> bool:
-    """Check whether ``a`` is a valid density matrix.
-
-    A density matrix must be Hermitian, unit trace, and positive
-    semidefinite (eigenvalues >= -atol).
-    """
-    a = np.asarray(a)
-    if not is_hermitian(a, atol=atol):
-        return False
-    if not np.isclose(np.trace(a).real, 1.0, atol=atol):
-        return False
-    evals = la.eigvalsh(a)
-    return bool(np.all(evals >= -atol))
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return the commutator ``[a, b] = a b - b a``."""
-    return a @ b - b @ a
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return the anticommutator ``{a, b} = a b + b a``."""
-    return a @ b + b @ a
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    """Frobenius norm of ``a``."""
-    return float(np.linalg.norm(np.asarray(a), ord="fro"))
-
-
-def spectral_norm(a: np.ndarray) -> float:
-    """Spectral (largest singular value) norm of ``a``."""
-    return float(np.linalg.norm(np.asarray(a), ord=2))
-
-
-def nearest_unitary(a: np.ndarray) -> np.ndarray:
-    """Project ``a`` onto the closest unitary matrix (polar decomposition).
-
-    The closest unitary in Frobenius norm to a full-rank matrix ``A = U P``
-    (polar decomposition) is the unitary factor ``U = A (A†A)^{-1/2}``,
-    computed here via the SVD for numerical robustness.
-    """
-    u, _, vh = np.linalg.svd(np.asarray(a, dtype=complex))
-    return u @ vh
-
-
-def nearest_hermitian(a: np.ndarray) -> np.ndarray:
-    """Project ``a`` onto the closest Hermitian matrix, ``(a + a†)/2``."""
-    a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + a.conj().T)
+__all__ = ["vec", "unvec"]
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -124,36 +29,3 @@ def unvec(v: np.ndarray, shape: tuple[int, int] | None = None) -> np.ndarray:
             raise ValueError(f"cannot unvec length-{v.size} vector into a square matrix")
         shape = (n, n)
     return v.reshape(shape, order="F")
-
-
-def overlap(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt overlap ``Tr(a† b)``."""
-    return complex(np.einsum("ij,ij->", np.conj(a), b))
-
-
-def projector(ket: np.ndarray) -> np.ndarray:
-    """Return the projector ``|ket><ket|`` for a state vector ``ket``."""
-    k = np.asarray(ket, dtype=complex).reshape(-1, 1)
-    return k @ k.conj().T
-
-
-def gram_schmidt(vectors: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Orthonormalize the columns of ``vectors`` (modified Gram-Schmidt).
-
-    Columns that are (numerically) linearly dependent on earlier columns are
-    dropped.  Returns a matrix whose columns form an orthonormal set.
-    """
-    v = np.array(vectors, dtype=complex, copy=True)
-    if v.ndim == 1:
-        v = v[:, None]
-    out = []
-    for j in range(v.shape[1]):
-        w = v[:, j].copy()
-        for q in out:
-            w -= q * (q.conj() @ w)
-        nrm = np.linalg.norm(w)
-        if nrm > atol:
-            out.append(w / nrm)
-    if not out:
-        return np.zeros((v.shape[0], 0), dtype=complex)
-    return np.column_stack(out)

@@ -10,14 +10,13 @@ from repro.circuits import QuantumCircuit
 from repro.devices import QubitProperties, fake_montreal
 from repro.pulse import Constant, Drag, DriveChannel, Play, Schedule, ShiftPhase
 from repro.pulse.calibrations import default_drag_x
+from harness.quantum import is_cptp, is_trace_preserving, unitary_overlap_fidelity
 from repro.qobj import (
     average_gate_fidelity,
     cx_gate,
     hadamard,
-    is_cptp,
     rz_gate,
     sx_gate,
-    unitary_overlap_fidelity,
     unitary_superop,
     x_gate,
 )
@@ -68,7 +67,6 @@ class TestPulseSimulator:
         from repro.qobj.superop import super_to_choi
         evals = np.linalg.eigvalsh(0.5 * (super_to_choi(chan) + super_to_choi(chan).conj().T))
         assert evals.min() > -1e-8
-        from repro.qobj.superop import is_trace_preserving
         assert is_trace_preserving(chan, atol=5e-2)
         err = 1 - average_gate_fidelity(chan, x_gate())
         assert 1e-4 < err < 2e-2  # noisy but clearly an X gate

@@ -17,7 +17,8 @@ from repro.benchmarking.fitting import FIT_STATUSES, error_per_clifford
 from repro.circuits import transpile
 from repro.circuits.gate import Gate
 from repro.devices import fake_montreal
-from repro.qobj import cx_gate, hadamard, sx_gate, unitary_overlap_fidelity, x_gate
+from harness.quantum import unitary_overlap_fidelity
+from repro.qobj import cx_gate, hadamard, sx_gate, x_gate
 from repro.utils.validation import ValidationError
 
 

@@ -1,4 +1,4 @@
-"""Tests for the circuit layer: gates, circuits, synthesis, transpiler, scheduler."""
+"""Tests for the circuit layer: gates, circuits, synthesis, transpiler."""
 
 import numpy as np
 import pytest
@@ -10,18 +10,15 @@ from repro.circuits import (
     Gate,
     Measurement,
     QuantumCircuit,
-    ScheduleError,
     TranspileError,
     decompose_1q_to_basis,
-    schedule_circuit,
     transpile,
     u3_to_zxzxz,
     zyz_decomposition,
 )
-from repro.circuits.synthesis import synthesis_fidelity_check
-from repro.pulse import Constant, DriveChannel, InstructionScheduleMap, Play, Schedule, ShiftPhase
-from repro.qobj import cx_gate, hadamard, rz_gate, s_gate, standard_gate_unitary, swap_gate, sx_gate, t_gate, unitary_overlap_fidelity, x_gate
-from repro.qobj.random import random_unitary
+from repro.pulse import Schedule
+from harness.quantum import random_unitary, synthesis_fidelity_check, unitary_overlap_fidelity
+from repro.qobj import cx_gate, hadamard, rz_gate, s_gate, standard_gate_unitary, swap_gate, sx_gate, t_gate, x_gate
 from repro.utils.validation import ValidationError
 
 
@@ -247,54 +244,3 @@ class TestTranspiler:
         assert unitary_overlap_fidelity(qc.to_unitary(), out.to_unitary()) == pytest.approx(1.0, abs=1e-8)
         allowed = {"x", "sx", "rz", "cx", "id"}
         assert all(inst.operation.name in allowed for inst in out.gates())
-
-
-class TestScheduler:
-    def _ism(self):
-        ism = InstructionScheduleMap()
-        x_sched = Schedule()
-        x_sched.append(Play(Constant(duration=16, amp=0.5), DriveChannel(0)))
-        sx_sched = Schedule()
-        sx_sched.append(Play(Constant(duration=16, amp=0.25), DriveChannel(0)))
-        ism.add("x", 0, x_sched)
-        ism.add("sx", 0, sx_sched)
-        return ism
-
-    def test_rz_becomes_shift_phase(self):
-        qc = QuantumCircuit(1)
-        qc.rz(0.7, 0)
-        qc.measure(0, 0)
-        lowered = schedule_circuit(qc, self._ism())
-        shift = [inst for _, inst in lowered.schedule.instructions if isinstance(inst, ShiftPhase)]
-        assert len(shift) == 1 and shift[0].phase == pytest.approx(-0.7)
-        assert lowered.measured_qubits == [(0, 0)]
-
-    def test_gates_lowered_sequentially(self):
-        qc = QuantumCircuit(1)
-        qc.x(0)
-        qc.sx(0)
-        lowered = schedule_circuit(qc, self._ism())
-        assert lowered.schedule.duration == 32
-
-    def test_circuit_calibration_overrides_default(self):
-        qc = QuantumCircuit(1)
-        qc.x(0)
-        custom = Schedule()
-        custom.append(Play(Constant(duration=64, amp=0.1), DriveChannel(0)))
-        qc.add_calibration("x", (0,), custom)
-        lowered = schedule_circuit(qc, self._ism())
-        assert lowered.schedule.duration == 64
-
-    def test_missing_calibration_raises(self):
-        qc = QuantumCircuit(1)
-        qc.x(0)
-        with pytest.raises(ScheduleError):
-            schedule_circuit(qc, InstructionScheduleMap())
-
-    def test_virtual_gates_have_zero_duration(self):
-        qc = QuantumCircuit(1)
-        qc.s(0)
-        qc.z(0)
-        qc.t(0)
-        lowered = schedule_circuit(qc, self._ism())
-        assert lowered.schedule.duration == 0

@@ -21,7 +21,7 @@ from repro.devices import (
 from repro.devices.properties import TWO_PI
 from repro.devices.transmon import collapse_operators, drive_operators, duffing_drift, embed_qubit_unitary, computational_projector
 from repro.qobj import cx_gate, hadamard, pauli
-from repro.utils.linalg import is_hermitian
+from harness.quantum import is_hermitian
 from repro.utils.validation import ValidationError
 
 
@@ -109,8 +109,8 @@ class TestTransmonModel:
 
     def test_drive_operators_reduce_to_pauli(self):
         hx, hy = drive_operators(2, 0.05)
-        assert np.allclose(hx, TWO_PI * 0.05 * 0.5 * pauli("X", as_array=True))
-        assert np.allclose(hy, TWO_PI * 0.05 * 0.5 * pauli("Y", as_array=True))
+        assert np.allclose(hx, TWO_PI * 0.05 * 0.5 * pauli("X"))
+        assert np.allclose(hy, TWO_PI * 0.05 * 0.5 * pauli("Y"))
 
     def test_collapse_operator_rates(self):
         ops = collapse_operators(2, t1_ns=10_000, t2_ns=8_000)
@@ -158,8 +158,8 @@ class TestCrossResonance:
     def test_control_terms_structure(self):
         model = self._model()
         xi, ix, zx = model.control_hamiltonians()
-        assert np.allclose(xi * 2 / (TWO_PI * model.control.drive_strength), pauli("XI", as_array=True))
-        assert np.allclose(ix * 2 / (TWO_PI * model.target.drive_strength), pauli("IX", as_array=True))
+        assert np.allclose(xi * 2 / (TWO_PI * model.control.drive_strength), pauli("XI"))
+        assert np.allclose(ix * 2 / (TWO_PI * model.target.drive_strength), pauli("IX"))
         # the ZX rate is J/Delta * drive strength
         expected = model.coupling_ghz / model.delta_12 * model.control.drive_strength
         assert model.zx_rate_per_amplitude == pytest.approx(expected)
@@ -167,7 +167,7 @@ class TestCrossResonance:
     def test_quadrature_terms(self):
         model = self._model()
         yi, iy, zy = model.quadrature_control_hamiltonians()
-        assert np.allclose(yi * 2 / (TWO_PI * model.control.drive_strength), pauli("YI", as_array=True))
+        assert np.allclose(yi * 2 / (TWO_PI * model.control.drive_strength), pauli("YI"))
 
     def test_drift_views(self):
         model = self._model(include_detuning=False)

@@ -46,13 +46,13 @@ def test_public_api_docstring_coverage():
     """Mirror of the blocking ruff D1 check (which CI runs with real ruff).
 
     Every public module/class/function/method in ``benchmarking/``,
-    ``backend/`` and ``solvers/expm_utils.py`` must carry a docstring.
+    ``backend/``, ``qobj/`` and ``solvers/`` must carry a docstring.
     """
-    targets = (
-        sorted((REPO_ROOT / "src/repro/benchmarking").glob("*.py"))
-        + sorted((REPO_ROOT / "src/repro/backend").glob("*.py"))
-        + [REPO_ROOT / "src/repro/solvers/expm_utils.py"]
-    )
+    targets = [
+        path
+        for package in ("benchmarking", "backend", "qobj", "solvers")
+        for path in sorted((REPO_ROOT / "src/repro" / package).glob("*.py"))
+    ]
     assert targets, "target modules not found"
     missing: list[str] = []
 

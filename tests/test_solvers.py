@@ -1,38 +1,49 @@
-"""Tests for the dynamics solvers (expm utilities, propagators, sesolve, mesolve)."""
+"""Tests for the dynamics kernels: expm utilities and PWC propagators.
+
+The Schrödinger- and master-equation classes check the PWC propagators
+against analytic solutions and, for a PWC Hamiltonian, against an
+independent RK4 integration of the Schrödinger equation.
+"""
 
 import numpy as np
 import pytest
 import scipy.linalg as la
 
-from repro.qobj import basis, ket2dm, sigmam, sigmax, sigmay, sigmaz, x_gate
-from repro.qobj.random import random_hermitian
+from harness.quantum import is_unitary, ket2dm, random_hermitian
+from harness.rk4 import rk4_integrate
+from repro.qobj import apply_superop, basis, sigmam, sigmax, sigmay, sigmaz, unitary_superop, x_gate
 from repro.solvers import (
-    expm_frechet_hermitian,
     expm_hermitian,
     expm_unitary_step,
-    mesolve,
-    propagator,
     pwc_cumulative_propagators,
+    pwc_liouvillian_step_propagators,
     pwc_liouvillian_total,
     pwc_step_propagators,
     pwc_total_propagator,
-    rk4_integrate,
-    sesolve,
 )
 from repro.core.dynamics import closed_evolution
 from repro.solvers.expm_utils import (
     expm_batch,
-    expm_frechet_hermitian_multi,
+    expm_frechet_batch,
     expm_hermitian_batch,
     hermitian_eig_batch,
+    loewner_gamma_batch,
 )
 from repro.solvers.propagator import assemble_pwc_hamiltonians, chain_propagator_product
-from repro.utils.linalg import is_unitary
 from repro.utils.validation import ValidationError
 
-X = sigmax(as_array=True)
-Y = sigmay(as_array=True)
-Z = sigmaz(as_array=True)
+X = sigmax()
+Y = sigmay()
+Z = sigmaz()
+
+
+def _loewner_frechet(h, directions, dt):
+    """``exp(-i H dt)`` and its Fréchet derivatives in Loewner form (exact GRAPE's)."""
+    evals, v = hermitian_eig_batch(np.asarray(h)[None])
+    gamma = loewner_gamma_batch(evals, dt)[0]
+    v = v[0]
+    u = (v * np.exp(-1j * dt * evals[0])) @ v.conj().T
+    return u, [v @ (gamma * (v.conj().T @ e @ v)) @ v.conj().T for e in directions]
 
 
 class TestExpm:
@@ -48,27 +59,31 @@ class TestExpm:
         h = random_hermitian(3, seed=2)
         e = random_hermitian(3, seed=3)
         dt = 0.31
-        _, du = expm_frechet_hermitian(h, e, dt)
         eps = 1e-6
         fd = (la.expm(-1j * dt * (h + eps * e)) - la.expm(-1j * dt * (h - eps * e))) / (2 * eps)
+        _, (du,) = _loewner_frechet(h, [e], dt)
         assert np.allclose(du, fd, atol=1e-6)
+        _, du_block = expm_frechet_batch(-1j * dt * h, -1j * dt * e)
+        assert np.allclose(du_block, fd, atol=1e-6)
 
     def test_frechet_degenerate_eigenvalues(self):
         h = np.zeros((2, 2), dtype=complex)  # fully degenerate spectrum
         e = X
         dt = 0.5
-        _, du = expm_frechet_hermitian(h, e, dt)
+        _, (du,) = _loewner_frechet(h, [e], dt)
         fd = (la.expm(-1j * dt * (h + 1e-6 * e)) - la.expm(-1j * dt * (h - 1e-6 * e))) / 2e-6
         assert np.allclose(du, fd, atol=1e-6)
 
     def test_frechet_multi_consistent(self):
+        """The Loewner form and the block-triangular expm agree, direction by direction."""
         h = random_hermitian(4, seed=4)
         dirs = [random_hermitian(4, seed=5), random_hermitian(4, seed=6)]
-        u, dus = expm_frechet_hermitian_multi(h, dirs, 0.2)
-        for d, du in zip(dirs, dus):
-            u_single, du_single = expm_frechet_hermitian(h, d, 0.2)
-            assert np.allclose(u, u_single)
-            assert np.allclose(du, du_single)
+        u, dus = _loewner_frechet(h, dirs, 0.2)
+        gen = np.broadcast_to(-1j * 0.2 * h, (2, 4, 4))
+        u_block, du_block = expm_frechet_batch(gen, -0.2j * np.stack(dirs))
+        for k, du in enumerate(dus):
+            assert np.allclose(u, u_block[k])
+            assert np.allclose(du, du_block[k])
 
 
 def _hermitian_stack(n: int = 6, d: int = 4, seed: int = 7) -> np.ndarray:
@@ -156,101 +171,110 @@ class TestPWCPropagators:
         amps = np.random.default_rng(2).uniform(-0.5, 0.5, size=(1, 4))
         u = pwc_total_propagator(Z, [X], amps, 0.1)
         s = pwc_liouvillian_total(Z, [X], amps, 0.1, c_ops=())
-        from repro.qobj.superop import unitary_superop
-
         assert np.allclose(s, unitary_superop(u), atol=1e-8)
 
     def test_propagator_time_independent(self):
-        u = propagator(0.5 * np.pi * X, 1.0)
+        """A time-independent Hamiltonian is a one-slot PWC pulse."""
+        u = pwc_total_propagator(0.5 * np.pi * X, [X], np.zeros((1, 1)), 1.0)
         assert abs(np.trace(u.conj().T @ (-1j * X))) / 2 == pytest.approx(1.0)
 
     def test_propagator_with_cops_is_superop(self):
-        s = propagator(Z, 1.0, c_ops=[0.1 * sigmam(as_array=True)])
+        s = pwc_liouvillian_total(Z, [X], np.zeros((1, 1)), 1.0, c_ops=[0.1 * sigmam()])
         assert s.shape == (4, 4)
 
 
+def _ket_trajectory(drift, controls, amps, dt, psi0):
+    """States at the slot boundaries of a PWC pulse."""
+    states = [np.asarray(psi0, dtype=complex)]
+    for u in pwc_step_propagators(drift, controls, amps, dt):
+        states.append(u @ states[-1])
+    return states
+
+
+def _density_trajectory(drift, controls, amps, dt, rho0, c_ops=()):
+    """Density matrices at the slot boundaries of a PWC pulse with dissipation."""
+    states = [np.asarray(rho0, dtype=complex)]
+    for s in pwc_liouvillian_step_propagators(drift, controls, amps, dt, c_ops):
+        states.append(apply_superop(s, states[-1]))
+    return states
+
+
+def _expect(op, rho):
+    return np.trace(op @ rho)
+
+
 class TestSesolve:
+    """Schrödinger-equation evolution through the closed-system PWC propagators."""
+
     def test_rabi_oscillation(self):
         """Resonant drive: P1(t) = sin^2(Omega t / 2)."""
         omega = 0.2
-        h = 0.5 * omega * X
-        times = np.linspace(0, 40, 81)
-        res = sesolve(h, basis(2, 0), times=times, e_ops=[ket2dm(basis(2, 1)).data])
-        p1 = res.expect[0].real
+        times = np.arange(81) * 0.5
+        states = _ket_trajectory(np.zeros((2, 2)), [0.5 * omega * X], np.ones((1, 80)), 0.5, basis(2, 0))
+        p1 = np.array([abs(psi[1, 0]) ** 2 for psi in states])
         assert np.allclose(p1, np.sin(omega * times / 2) ** 2, atol=1e-4)
 
     def test_pwc_and_callable_agree(self):
         amps = np.array([[0.3, -0.2, 0.5, 0.1]])
         dt = 1.5
-        res_pwc = sesolve((Z * 0.1, [0.2 * X], amps), basis(2, 0), dt=dt)
+        pwc_final = _ket_trajectory(Z * 0.1, [0.2 * X], amps, dt, basis(2, 0))[-1]
 
         def h_of_t(t):
             k = min(int(t // dt), 3)
             return Z * 0.1 + amps[0, k] * 0.2 * X
 
         times = np.arange(5) * dt
-        res_call = sesolve(h_of_t, basis(2, 0), times=times, substeps=64)
-        assert np.allclose(res_pwc.final_state, res_call.final_state, atol=5e-4)
+        rk4_final = rk4_integrate(lambda t, y: -1j * (h_of_t(t) @ y), basis(2, 0), times, substeps=64)[-1]
+        assert np.allclose(pwc_final, rk4_final, atol=5e-4)
 
     def test_norm_preserved(self):
         amps = np.random.default_rng(3).uniform(-1, 1, size=(2, 10))
-        res = sesolve((Z, [X, Y], amps), basis(2, 0), dt=0.2)
-        for state in res.states:
+        for state in _ket_trajectory(Z, [X, Y], amps, 0.2, basis(2, 0)):
             assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
 
     def test_unitary_evolution_of_identity(self):
         amps = np.array([[0.4, 0.4]])
-        res = sesolve((np.zeros((2, 2)), [X], amps), np.eye(2), dt=1.0)
-        assert is_unitary(res.final_state)
-
-    def test_requires_times_for_callable(self):
-        with pytest.raises(ValidationError):
-            sesolve(lambda t: Z, basis(2, 0))
+        final = _ket_trajectory(np.zeros((2, 2)), [X], amps, 1.0, np.eye(2))[-1]
+        assert is_unitary(final)
 
 
 class TestMesolve:
+    """Master-equation evolution through the open-system PWC propagators."""
+
     def test_t1_decay(self):
         t1 = 50.0
-        c = np.sqrt(1.0 / t1) * sigmam(as_array=True)
-        amps = np.zeros((1, 40))
-        res = mesolve(
-            (np.zeros((2, 2)), [X], amps),
-            basis(2, 1),
-            dt=2.0,
-            c_ops=[c],
-            e_ops=[ket2dm(basis(2, 1)).data],
-        )
-        times = res.times
-        assert np.allclose(res.expect[0].real, np.exp(-times / t1), atol=1e-3)
+        c = np.sqrt(1.0 / t1) * sigmam()
+        states = _density_trajectory(np.zeros((2, 2)), [X], np.zeros((1, 40)), 2.0, ket2dm(basis(2, 1)), [c])
+        times = np.arange(41) * 2.0
+        p1 = np.array([_expect(ket2dm(basis(2, 1)), rho).real for rho in states])
+        assert np.allclose(p1, np.exp(-times / t1), atol=1e-3)
 
     def test_t2_dephasing(self):
         gamma_phi = 0.02
         c = np.sqrt(2 * gamma_phi) * np.diag([0.0, 1.0]).astype(complex)
-        amps = np.zeros((1, 30))
-        plus = (basis(2, 0, as_array=True) + basis(2, 1, as_array=True)) / np.sqrt(2)
-        res = mesolve((np.zeros((2, 2)), [X], amps), plus, dt=1.0, c_ops=[c], e_ops=[X])
-        assert np.allclose(res.expect[0].real, np.exp(-gamma_phi * res.times), atol=1e-3)
+        plus = (basis(2, 0) + basis(2, 1)) / np.sqrt(2)
+        states = _density_trajectory(np.zeros((2, 2)), [X], np.zeros((1, 30)), 1.0, ket2dm(plus), [c])
+        times = np.arange(31) * 1.0
+        coherence = np.array([_expect(X, rho).real for rho in states])
+        assert np.allclose(coherence, np.exp(-gamma_phi * times), atol=1e-3)
 
     def test_trace_and_positivity_preserved(self):
         amps = np.random.default_rng(4).uniform(-0.3, 0.3, size=(2, 10))
-        c = 0.05 * sigmam(as_array=True)
-        res = mesolve((Z * 0.2, [X, Y], amps), basis(2, 0), dt=1.0, c_ops=[c])
-        for rho in res.states:
+        c = 0.05 * sigmam()
+        for rho in _density_trajectory(Z * 0.2, [X, Y], amps, 1.0, ket2dm(basis(2, 0)), [c]):
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
             assert np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) > -1e-9
 
     def test_matches_sesolve_without_cops(self):
         amps = np.random.default_rng(5).uniform(-0.5, 0.5, size=(1, 8))
-        se = sesolve((Z, [X], amps), basis(2, 0), dt=0.4)
-        me = mesolve((Z, [X], amps), basis(2, 0), dt=0.4)
-        rho_pure = se.final_state @ se.final_state.conj().T
-        assert np.allclose(me.final_state, rho_pure, atol=1e-9)
+        psi = _ket_trajectory(Z, [X], amps, 0.4, basis(2, 0))[-1]
+        rho = _density_trajectory(Z, [X], amps, 0.4, ket2dm(basis(2, 0)))[-1]
+        assert np.allclose(rho, ket2dm(psi), atol=1e-9)
 
     def test_steady_state_thermalization_to_ground(self):
-        c = np.sqrt(0.5) * sigmam(as_array=True)
-        amps = np.zeros((1, 50))
-        res = mesolve((np.zeros((2, 2)), [X], amps), basis(2, 1), dt=1.0, c_ops=[c])
-        assert res.final_state[0, 0].real == pytest.approx(1.0, abs=1e-6)
+        c = np.sqrt(0.5) * sigmam()
+        final = _density_trajectory(np.zeros((2, 2)), [X], np.zeros((1, 50)), 1.0, ket2dm(basis(2, 1)), [c])[-1]
+        assert final[0, 0].real == pytest.approx(1.0, abs=1e-6)
 
 
 class TestRK4:

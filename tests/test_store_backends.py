@@ -9,7 +9,7 @@ Three layers of coverage:
   the results namespace (save/load/hit/exactly-once/LRU retention) works
   against pure memory, proving the seam really carries the cache and the
   filesystem was only ever one backend among others;
-* :class:`~repro.store.FlakyBackend` **fault injection** — reads fail
+* :class:`~harness.flaky_backend.FlakyBackend` **fault injection** — reads fail
   open (a storage hiccup is a cache miss, never an exception), writes
   fail loudly (publication errors propagate), and the armed-budget
   bookkeeping tests rely on is exact.
@@ -21,12 +21,12 @@ import time
 
 import pytest
 
+from harness.flaky_backend import FlakyBackend
 from repro.session import RBSpec, Session
 from repro.session.results import ExperimentResult
 from repro.store import (
     ArtifactStore,
     DictBackend,
-    FlakyBackend,
     LocalFSBackend,
     StorageStat,
 )

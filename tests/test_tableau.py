@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.benchmarking.clifford import CliffordGroup, _bfs_tree, _generator_list, clifford_group
-from repro.benchmarking.rb import _recovery_index
+from repro.benchmarking.rb import _recovery_indices
 from repro.benchmarking.tableau import (
     CliffordTableauIndex,
     Tableau,
@@ -138,7 +138,7 @@ class TestCliffordTableauIndex:
         rng = np.random.default_rng(55 + n)
         for _ in range(10):
             indices = [int(i) for i in rng.integers(0, len(group), size=6)]
-            recovery = _recovery_index(group, indices)
+            recovery = int(_recovery_indices(group, [indices])[0])
             total = np.eye(2**n, dtype=complex)
             for i in indices:
                 total = group.element(i).matrix @ total

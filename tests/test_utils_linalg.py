@@ -1,12 +1,11 @@
-"""Tests for repro.utils.linalg."""
+"""Tests for ``vec``/``unvec`` and the reference linear-algebra helpers."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.qobj.random import random_density_matrix, random_unitary
-from repro.utils.linalg import (
+from harness.quantum import (
     anticommutator,
     commutator,
     dagger,
@@ -19,10 +18,11 @@ from repro.utils.linalg import (
     nearest_unitary,
     overlap,
     projector,
+    random_density_matrix,
+    random_unitary,
     spectral_norm,
-    unvec,
-    vec,
 )
+from repro.utils.linalg import unvec, vec
 
 
 class TestStructureChecks:

@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
+from harness.validation import check_in_range, check_shape, check_square, require
 from repro.utils.parallel import available_workers, parallel_map
 from repro.utils.seeding import default_rng, spawn_rngs, stable_hash_seed
-from repro.utils.validation import (
-    ValidationError,
-    check_in_range,
-    check_positive,
-    check_probability,
-    check_shape,
-    check_square,
-    require,
-)
+from repro.utils.validation import ValidationError, check_positive, check_probability
 
 
 class TestValidation:
