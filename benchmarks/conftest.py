@@ -19,10 +19,6 @@ Environment knobs:
   smoke mode: benches that support it shrink their workload, and the emitted
   JSON is tagged so the regression checker refuses to compare smoke numbers
   against the full baseline.
-* ``REPRO_MAX_OPT_ITER=N`` (manual knob, not set by CI) — cap every
-  pulse-optimization iteration budget (see
-  ``repro.experiments.gates.optimize_gate_pulse``); capped runs may not
-  converge, so convergence-dependent bench assertions can fail under it.
 """
 
 from __future__ import annotations

@@ -138,15 +138,6 @@ def _recovery_indices(
     return table.inverse_indices(net[:, 0])
 
 
-def _recovery_index(
-    group: CliffordGroup,
-    element_indices: Sequence[int],
-    interleaved_index: int | None = None,
-) -> int:
-    """Element index of the recovery Clifford inverting the sequence."""
-    return int(_recovery_indices(group, [element_indices], interleaved_index)[0])
-
-
 def _build_sequence_circuit(
     group: CliffordGroup,
     elements: Sequence[CliffordElement],

@@ -67,7 +67,6 @@ __all__ = [
     "tableau_keys",
     "tableau_from_word",
     "tableau_from_unitary",
-    "tableau_to_unitary_phase_free",
     "CliffordTableauIndex",
 ]
 
@@ -382,20 +381,6 @@ def tableau_from_unitary(u: np.ndarray) -> Tableau:
     if not np.allclose(images, (1j**phases)[:, None, None] * paulis[rows], atol=1e-6):
         raise ValidationError("matrix is not a Clifford unitary")
     return Tableau(n=n, rows=tuple(int(v) for v in rows), phases=tuple(int(p) for p in phases))
-
-
-def tableau_to_unitary_phase_free(tableau: Tableau) -> np.ndarray:
-    """Reconstruct a unitary with this tableau (global phase arbitrary).
-
-    Looks the tableau up in the cached group and returns that element's
-    matrix (replayed from its generator word) — intended for tests and
-    diagnostics.
-    """
-    from .clifford import clifford_group
-
-    group = clifford_group(tableau.n)
-    index = group.tableau_index().index_of_key(tableau_key(tableau))
-    return group.element(index).matrix
 
 
 class CliffordTableauIndex:

@@ -11,8 +11,8 @@ gate replace a default one, exactly like Qiskit's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 

@@ -9,11 +9,10 @@ pulse-calibrated gate that the transpiler must leave untouched).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from ..qobj.gates import standard_gate_unitary, GATE_UNITARIES
+from ..qobj.gates import standard_gate_unitary
 from ..utils.validation import ValidationError
 
 __all__ = ["Gate", "Measurement", "Barrier"]

@@ -16,10 +16,9 @@ import cmath
 
 import numpy as np
 
-from ..qobj.gates import rz_gate, sx_gate
 from ..utils.validation import ValidationError
 
-__all__ = ["zyz_decomposition", "u3_to_zxzxz", "decompose_1q_to_basis", "synthesis_fidelity_check"]
+__all__ = ["zyz_decomposition", "u3_to_zxzxz", "decompose_1q_to_basis"]
 
 
 def zyz_decomposition(u: np.ndarray, atol: float = 1e-9) -> tuple[float, float, float, float]:
@@ -112,19 +111,3 @@ def decompose_1q_to_basis(u: np.ndarray, simplify: bool = True, atol: float = 1e
         out.append((name, angle))
     return out
 
-
-def synthesis_fidelity_check(u: np.ndarray, gate_list: list[tuple[str, float]]) -> float:
-    """Phase-insensitive fidelity between ``u`` and a synthesized gate list.
-
-    Used by tests and (optionally) by callers that want to assert a lossless
-    decomposition.  Returns ``|Tr(U† V)| / 2``.
-    """
-    v = np.eye(2, dtype=complex)
-    for name, angle in gate_list:
-        if name == "rz":
-            v = rz_gate(angle) @ v
-        elif name == "sx":
-            v = sx_gate() @ v
-        else:
-            raise ValidationError(f"unexpected gate {name!r} in synthesized list")
-    return float(abs(np.trace(np.asarray(u, dtype=complex).conj().T @ v)) / 2.0)

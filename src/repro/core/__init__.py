@@ -26,11 +26,7 @@ through QuTiP's ``pulseoptim``:
 
 from .parametrization import TimeGrid, initial_amplitudes, clip_amplitudes, PULSE_TYPES
 from .result import OptimResult
-from .cost import (
-    unitary_psu_infidelity,
-    unitary_su_infidelity,
-    superop_process_infidelity,
-)
+from .cost import unitary_psu_infidelity
 from .dynamics import closed_evolution, open_evolution, ClosedEvolution, OpenEvolution
 from .grape import grape_cost_and_gradient, GrapeOptimizer
 from .lbfgs import optimize_lbfgs
@@ -38,7 +34,7 @@ from .spsa import SPSAOptimizer, optimize_spsa
 from .krotov import optimize_krotov
 from .crab import optimize_crab
 from .goat import optimize_goat, FourierAnsatz
-from .pulseoptim import optimize_pulse_unitary, OptimizerSpec
+from .pulseoptim import optimize_pulse_unitary
 
 __all__ = [
     "TimeGrid",
@@ -47,8 +43,6 @@ __all__ = [
     "PULSE_TYPES",
     "OptimResult",
     "unitary_psu_infidelity",
-    "unitary_su_infidelity",
-    "superop_process_infidelity",
     "closed_evolution",
     "open_evolution",
     "ClosedEvolution",
@@ -63,5 +57,4 @@ __all__ = [
     "optimize_goat",
     "FourierAnsatz",
     "optimize_pulse_unitary",
-    "OptimizerSpec",
 ]

@@ -26,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .cost import psu_overlap, superop_process_infidelity, unitary_psu_infidelity, unitary_su_infidelity
 from .dynamics import closed_evolution, open_evolution
 from .parametrization import clip_amplitudes
 from .result import OptimResult

@@ -26,7 +26,6 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,30 +40,9 @@ from .result import OptimResult
 from .spsa import optimize_spsa
 from ..utils.validation import ValidationError
 
-__all__ = ["OptimizerSpec", "optimize_pulse_unitary"]
+__all__ = ["optimize_pulse_unitary"]
 
 _METHODS = ("LBFGS", "GRAPE", "SPSA", "CRAB", "KROTOV", "GOAT")
-
-
-@dataclass(frozen=True)
-class OptimizerSpec:
-    """Bundle of optimizer settings shared by the experiment drivers."""
-
-    method: str = "LBFGS"
-    fid_err_targ: float = 1e-10
-    max_iter: int = 500
-    max_wall_time: float = 120.0
-    gradient: str = "exact"
-    phase_option: str = "PSU"
-    init_pulse_type: str = "DRAG"
-    init_pulse_scale: float = 0.25
-    amp_lbound: float | None = -1.0
-    amp_ubound: float | None = 1.0
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.method.upper() not in _METHODS:
-            raise ValidationError(f"method must be one of {_METHODS}, got {self.method!r}")
 
 
 def optimize_pulse_unitary(

@@ -9,7 +9,7 @@ lets experiment code make the same choice programmatically.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import networkx as nx
 

@@ -18,8 +18,8 @@ Unit conventions (used consistently across the whole library):
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 

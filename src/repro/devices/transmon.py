@@ -24,8 +24,7 @@ amplitude damping ``sqrt(1/T1)·a`` and pure dephasing ``sqrt(2 Γφ)·a†a`` w
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -28,7 +28,6 @@ session calls.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -147,14 +146,6 @@ class _GateProblem:
 def _gate_problem(properties: BackendProperties, config: GateExperimentConfig) -> _GateProblem:
     """Build the drift/controls/target model for one gate optimization."""
     gate = config.gate.lower()
-    max_iter = config.max_iter
-    # Optional escape hatch: cap the optimizer iteration budget so the full
-    # pipeline can be exercised end-to-end in seconds.  A capped run may not
-    # converge, so benchmarks with convergence-dependent assertions can fail
-    # under it — it is a manual knob, not part of the CI smoke job.
-    cap = os.environ.get("REPRO_MAX_OPT_ITER")
-    if cap:
-        max_iter = min(max_iter, int(cap))
     subspace_dim = None
     if gate == "cx":
         model = _cr_model(properties, config.qubits)
@@ -180,7 +171,7 @@ def _gate_problem(properties: BackendProperties, config: GateExperimentConfig) -
         target=target,
         dim=dim,
         subspace_dim=subspace_dim,
-        max_iter=max_iter,
+        max_iter=config.max_iter,
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-from .channels import AcquireChannel, Channel, DriveChannel, MemorySlot
+from .channels import AcquireChannel, Channel, MemorySlot
 from .instructions import Acquire, Delay, Play, SetPhase, ShiftPhase
 from .schedule import Schedule
 from ..utils.validation import ValidationError

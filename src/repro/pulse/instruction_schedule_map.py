@@ -10,7 +10,7 @@ process").
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .schedule import Schedule
 from ..utils.validation import ValidationError

@@ -12,8 +12,6 @@ Each instruction occupies a contiguous block of samples on one channel:
 
 from __future__ import annotations
 
-import numpy as np
-
 from .channels import AcquireChannel, Channel, MemorySlot
 from .shapes import ParametricPulse, Waveform
 from ..utils.validation import ValidationError

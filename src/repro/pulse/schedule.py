@@ -16,12 +16,12 @@ needs:
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .channels import Channel
-from .instructions import Acquire, Delay, Instruction, Play, SetPhase, ShiftPhase
+from .instructions import Acquire, Instruction, Play, SetPhase, ShiftPhase
 from ..utils.validation import ValidationError
 
 __all__ = ["Schedule"]

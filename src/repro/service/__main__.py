@@ -15,8 +15,8 @@ Without ``--root`` the daemon uses the default store location (the same
 ``$XDG_CACHE_HOME/repro/store``, else ``~/.cache/repro/store``).  The job
 queue defaults to ``<store root>/service/queue.sqlite3`` and survives
 restarts — queued jobs resume, orphaned running jobs are re-queued.
-Several daemons may share one ``--queue`` (and store root): claims are
-leased and heartbeat-extended, so a dead daemon's jobs migrate to its
+Several daemons may share one ``--queue`` (and store root): each claim
+holds a heartbeat-extended lease, so a dead daemon's jobs migrate to its
 peers — see ``docs/operations.md`` ("Running multiple daemons").
 
 The process runs in the foreground until interrupted (Ctrl-C / SIGTERM);
@@ -30,6 +30,14 @@ import signal
 import sys
 
 from .daemon import ExperimentService, ServiceConfig
+
+
+def positive_seconds(text: str) -> float:
+    """argparse type of ``--lease``: a duration in seconds that is > 0."""
+    seconds = float(text)
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0 seconds, got {text}")
+    return seconds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,9 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace-file", default=None, metavar="PATH",
                         help="JSON-lines file receiving one trace per executed job "
                              "(default: $REPRO_TRACE_FILE, else no tracing sink)")
-    parser.add_argument("--lease", type=float, default=30.0, metavar="SECONDS",
-                        help="job-claim lease duration; peers reclaim a job whose "
-                             "lease expires (default: 30; <= 0 disables leasing)")
+    parser.add_argument("--lease", type=positive_seconds, default=30.0, metavar="SECONDS",
+                        help="job-claim lease duration (> 0); peers reclaim a job "
+                             "whose lease expires (default: 30)")
     parser.add_argument("--heartbeat", type=float, default=None, metavar="SECONDS",
                         help="lease-extension cadence (default: lease/3)")
     parser.add_argument("--owner-id", default=None, metavar="ID",
@@ -123,8 +131,7 @@ def main(argv=None) -> int:
     print(f"  store: {service.store.root}")
     print(f"  queue: {service.queue.path} ({service.recovered_jobs} job(s) recovered)")
     print(f"  workers: {service.pool.workers} ({service.pool.worker_mode} mode)")
-    lease = f"{service.lease_s}s" if service.lease_s is not None else "off"
-    print(f"  lease: {lease} (owner {service.owner_id})")
+    print(f"  lease: {service.pool.lease_s}s (owner {service.owner_id})")
     auth = (
         f"on ({len(service.token_registry)} tenant(s))"
         if service.token_registry is not None else "off"

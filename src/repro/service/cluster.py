@@ -476,6 +476,8 @@ def main(argv=None) -> int:
     import argparse
     import tempfile
 
+    from .__main__ import positive_seconds
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.service.cluster",
         description="Boot N daemons over one queue, SIGKILL one mid-job and"
@@ -483,8 +485,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--daemons", type=int, default=3,
                         help="cluster size (default: 3)")
-    parser.add_argument("--lease", type=float, default=2.0, metavar="SECONDS",
-                        help="claim-lease duration (default: 2)")
+    parser.add_argument("--lease", type=positive_seconds, default=2.0, metavar="SECONDS",
+                        help="claim-lease duration, > 0 (default: 2)")
     parser.add_argument("--heartbeat", type=float, default=0.5, metavar="SECONDS",
                         help="lease-extension cadence (default: 0.5)")
     parser.add_argument("--fault-delay", type=float, default=6.0, metavar="SECONDS",

@@ -40,14 +40,13 @@ from .queue import JobQueue
 from .tenancy import (
     ANONYMOUS_TENANT,
     AdmissionController,
-    DEFAULT_PRIORITY,
     QuotaExceeded,
     resolve_token_registry,
 )
 from .workers import WorkerPool
 from ..obs import MetricsRegistry, SpanTimingSink, resolve_trace_sink
 from ..store import resolve_store
-from ..utils.validation import ValidationError
+from ..utils.validation import ValidationError, check_positive
 
 __all__ = ["ServiceConfig", "ExperimentService"]
 
@@ -97,9 +96,8 @@ class ServiceConfig:
         ``<hostname>-<pid>-<random>`` — unique per process, which is what
         fencing requires.  Set it explicitly only for debugging/tests.
     lease_s : float
-        Job-claim lease duration (``--lease``).  A daemon that misses
+        Job-claim lease duration (``--lease``, > 0).  A daemon that misses
         heartbeats for this long forfeits its running jobs to its peers.
-        ``<= 0`` disables leasing (legacy single-daemon claims).
     heartbeat_s : float, optional
         Lease-extension cadence (``--heartbeat``; default ``lease_s/3``).
     poll_s : float
@@ -137,6 +135,9 @@ class ServiceConfig:
     poll_s: float = 0.5
     tokens: object = None
     no_auth: bool = False
+
+    def __post_init__(self):
+        check_positive(self.lease_s, "lease_s")
 
 
 class ExperimentService:
@@ -207,15 +208,12 @@ class ExperimentService:
         self.owner_id = config.owner_id or (
             f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         )
-        lease_s = float(config.lease_s) if config.lease_s else 0.0
-        self.lease_s = lease_s if lease_s > 0 else None
-        self.heartbeat_s = (
-            float(config.heartbeat_s) if config.heartbeat_s is not None
-            else (self.lease_s / 3.0 if self.lease_s is not None else None)
-        )
         self.pool = WorkerPool(
             self.queue,
             self.store,
+            owner_id=self.owner_id,
+            lease_s=config.lease_s,
+            heartbeat_s=config.heartbeat_s,
             workers=config.workers,
             session_num_workers=config.session_num_workers,
             worker_mode=config.worker_mode,
@@ -225,9 +223,6 @@ class ExperimentService:
             trace_sink=SpanTimingSink(
                 self.metrics, inner=resolve_trace_sink(config.trace_file)
             ),
-            owner_id=self.owner_id if self.lease_s is not None else None,
-            lease_s=self.lease_s,
-            heartbeat_s=self.heartbeat_s,
             poll_s=config.poll_s,
         )
         self._server = None
@@ -247,7 +242,7 @@ class ExperimentService:
 
         Any number of daemons may share one queue database: boot-time
         recovery is lease-aware (:meth:`JobQueue.recover` only re-queues
-        *orphaned* jobs — unleased or expired — never a healthy peer's),
+        *orphaned* jobs — lease expired, or none — never a healthy peer's),
         so joining a running cluster steals no work.  See
         ``docs/operations.md`` ("Running multiple daemons").
         """
@@ -357,8 +352,8 @@ class ExperimentService:
             "sessions": self.pool.aggregate_stats(),
             "lease": {
                 "owner_id": self.owner_id,
-                "lease_s": self.lease_s,
-                "heartbeat_s": self.heartbeat_s,
+                "lease_s": self.pool.lease_s,
+                "heartbeat_s": self.pool.heartbeat_s,
                 "lost_leases": self.pool.lost_leases,
                 **self.queue.lease_stats(),
             },

@@ -23,9 +23,10 @@ locking.  Liveness and safety come from two mechanisms:
   *after* its lease was reclaimed gets :class:`StaleLeaseError` instead
   of publishing over the reclaimer's result.
 
-Claims without an owner (``claim()`` with no arguments) remain plain
-owner-less claims with no lease — single-process embedders and tests
-keep the old semantics verbatim.
+Every claim holds a lease and every finish is fenced; there is no
+owner-less claim.  Running rows without a lease can only come from a
+queue file an older version wrote, and :meth:`JobQueue.recover`
+re-queues them.
 
 **Multi-tenant scheduling** (the tenancy control plane of
 :mod:`repro.service.tenancy`): every job carries its submitting
@@ -68,7 +69,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .tenancy.auth import ANONYMOUS_TENANT, DEFAULT_PRIORITY, PRIORITY_CLASSES
-from ..utils.validation import ValidationError
+from ..utils.validation import ValidationError, check_positive
 
 __all__ = ["Job", "JobQueue", "JOB_STATUSES", "StaleLeaseError"]
 
@@ -198,10 +199,10 @@ class Job:
         document (``done`` jobs only).
     owner : str or None
         Identity of the daemon holding (or, for finished jobs, last
-        having held) the job's lease; None for owner-less legacy claims.
+        having held) the job's lease; None while the job is queued.
     lease_expiry : float or None
         Unix timestamp the current lease expires at; past it, any daemon
-        may reclaim the job.  ``None`` for legacy owner-less claims.
+        may reclaim the job.  ``None`` unless the job is running.
     lease_generation : int
         Monotonic fencing token, incremented by every (re)claim and
         recovery — completion is conditional on it, so a stale owner can
@@ -485,27 +486,29 @@ class JobQueue:
             self._submitted_total.labels(tenant=tenant, priority=priority).inc()
         return job_id
 
-    def claim(self, owner_id: str | None = None, lease_s: float | None = None) -> Job | None:
+    def claim(self, owner_id: str, lease_s: float) -> Job | None:
         """Claim the next job for this owner: fair-ordered, else a reclaim.
 
         Parameters
         ----------
-        owner_id : str, optional
-            Identity the lease is written under.  Without it the claim is
-            the legacy owner-less flip (no lease, no reclaim) — exactly
-            the pre-lease semantics.
-        lease_s : float, optional
-            Lease duration in seconds; required together with
-            ``owner_id`` for leased claims.  The owner must
+        owner_id : str
+            Identity the lease is written under.
+        lease_s : float
+            Lease duration in seconds (> 0).  The owner must
             :meth:`heartbeat` well within this interval (a third is a
             good cadence) or its job becomes reclaimable.
 
         Returns
         -------
         Job or None
-            The claimed job (``running``, lease fields set for leased
-            claims), or None when there is neither a queued job nor — for
-            leased claimants — an expired-lease job to take over.
+            The claimed job (``running``, lease fields set), or None when
+            there is neither a queued job nor an expired-lease job to
+            take over.
+
+        Raises
+        ------
+        ValidationError
+            When ``lease_s`` is not > 0.
 
         Notes
         -----
@@ -527,10 +530,10 @@ class JobQueue:
         generation it observed, then increments it, stamping the previous
         owner stale.
         """
-        leased = owner_id is not None and lease_s is not None
+        lease_s = check_positive(lease_s, "lease_s")
         while True:
             now = time.time()
-            expiry = now + lease_s if leased else None
+            expiry = now + lease_s
             with self._lock:
                 row = self._conn.execute(
                     f"SELECT {_QUALIFIED_COLUMNS},"
@@ -555,42 +558,33 @@ class JobQueue:
                     if won:
                         self._advance_pass(job.tenant, tenant_pass, job.weight)
                     self._conn.commit()
-                    if not won:
-                        continue  # another daemon flipped it first; retry
-                    if self._queue_latency is not None:
+                    if won and self._queue_latency is not None:
                         self._queue_latency.observe(max(0.0, now - job.submitted_at))
-                    return replace(
-                        job, status="running", started_at=now,
-                        attempts=job.attempts + 1, owner=owner_id,
-                        lease_expiry=expiry,
-                        lease_generation=job.lease_generation + 1,
-                    )
-                if not leased:
-                    return None
-                row = self._conn.execute(
-                    f"SELECT {', '.join(_COLUMNS)} FROM jobs WHERE status = 'running'"
-                    " AND lease_expiry IS NOT NULL AND lease_expiry < ?"
-                    " ORDER BY lease_expiry, rowid LIMIT 1",
-                    (now,),
-                ).fetchone()
-                if row is None:
-                    return None
-                job = _row_to_job(row)
-                won = self._conn.execute(
-                    "UPDATE jobs SET owner = ?, lease_expiry = ?, started_at = ?,"
-                    " attempts = attempts + 1,"
-                    " lease_generation = lease_generation + 1"
-                    " WHERE id = ? AND status = 'running' AND lease_generation = ?",
-                    (owner_id, expiry, now, job.id, job.lease_generation),
-                ).rowcount
-                self._conn.commit()
-                if not won:
-                    continue  # raced another reclaimer (or a finish); retry
-                self.reclaimed += 1
-                self.lease_expirations += 1
+                else:
+                    row = self._conn.execute(
+                        f"SELECT {', '.join(_COLUMNS)} FROM jobs WHERE status = 'running'"
+                        " AND lease_expiry < ? ORDER BY lease_expiry, rowid LIMIT 1",
+                        (now,),
+                    ).fetchone()
+                    if row is None:
+                        return None
+                    job = _row_to_job(row)
+                    won = self._conn.execute(
+                        "UPDATE jobs SET owner = ?, lease_expiry = ?, started_at = ?,"
+                        " attempts = attempts + 1,"
+                        " lease_generation = lease_generation + 1"
+                        " WHERE id = ? AND status = 'running' AND lease_generation = ?",
+                        (owner_id, expiry, now, job.id, job.lease_generation),
+                    ).rowcount
+                    self._conn.commit()
+                    if won:
+                        self.reclaimed += 1
+                        self.lease_expirations += 1
+            # a lost flip raced another daemon's claim, reclaim or finish: retry
+            if won:
                 return replace(
-                    job, started_at=now, attempts=job.attempts + 1,
-                    owner=owner_id, lease_expiry=expiry,
+                    job, status="running", started_at=now,
+                    attempts=job.attempts + 1, owner=owner_id, lease_expiry=expiry,
                     lease_generation=job.lease_generation + 1,
                 )
 
@@ -615,11 +609,7 @@ class JobQueue:
         )
 
     def heartbeat(
-        self,
-        job_id: str,
-        owner_id: str,
-        lease_s: float,
-        lease_generation: int | None = None,
+        self, job_id: str, owner_id: str, lease_s: float, lease_generation: int
     ) -> bool:
         """Extend one running job's lease; False when the lease is lost.
 
@@ -628,16 +618,12 @@ class JobQueue:
         The owner keeps computing at its own risk — the fencing check in
         :meth:`complete` is what actually protects the result.
         """
-        query = (
-            "UPDATE jobs SET lease_expiry = ?"
-            " WHERE id = ? AND owner = ? AND status = 'running'"
-        )
-        params: tuple = (time.time() + lease_s, job_id, owner_id)
-        if lease_generation is not None:
-            query += " AND lease_generation = ?"
-            params += (lease_generation,)
         with self._lock:
-            extended = self._conn.execute(query, params).rowcount
+            extended = self._conn.execute(
+                "UPDATE jobs SET lease_expiry = ? WHERE id = ? AND owner = ?"
+                " AND lease_generation = ? AND status = 'running'",
+                (time.time() + lease_s, job_id, owner_id, lease_generation),
+            ).rowcount
             self._conn.commit()
         return bool(extended)
 
@@ -666,28 +652,26 @@ class JobQueue:
         self,
         job_id: str,
         result_json: str,
-        owner_id: str | None = None,
-        lease_generation: int | None = None,
+        owner_id: str,
+        lease_generation: int,
         execute_s: float | None = None,
     ) -> None:
         """Mark one running job ``done``, storing its result document.
 
-        With ``owner_id`` and ``lease_generation`` the transition is
-        fenced: it only applies while the caller still holds that exact
-        lease, and raises :class:`StaleLeaseError` otherwise.
-        ``execute_s`` is the measured execution time charged to the
-        tenant's accounting (wall time since the claim when omitted).
+        The transition is fenced: it only applies while the caller still
+        holds the lease ``(owner_id, lease_generation)`` of its claim, and
+        raises :class:`StaleLeaseError` otherwise.  ``execute_s`` is the
+        measured execution time charged to the tenant's accounting (wall
+        time since the claim when omitted).
         """
-        self._finish(job_id, "done", result=result_json,
-                     owner_id=owner_id, lease_generation=lease_generation,
-                     execute_s=execute_s)
+        self._finish(job_id, "done", owner_id, lease_generation, execute_s, result=result_json)
 
     def fail(
         self,
         job_id: str,
         error: str,
-        owner_id: str | None = None,
-        lease_generation: int | None = None,
+        owner_id: str,
+        lease_generation: int,
         execute_s: float | None = None,
     ) -> None:
         """Mark one running job ``failed``, storing the error message.
@@ -695,43 +679,39 @@ class JobQueue:
         The message is coerced to valid UTF-8 (see ``_sanitize_text``);
         fencing and accounting work as in :meth:`complete`.
         """
-        self._finish(job_id, "failed", error=_sanitize_text(error),
-                     owner_id=owner_id, lease_generation=lease_generation,
-                     execute_s=execute_s)
+        self._finish(
+            job_id, "failed", owner_id, lease_generation, execute_s, error=_sanitize_text(error)
+        )
 
     def _finish(
         self,
         job_id: str,
         status: str,
+        owner_id: str,
+        lease_generation: int,
+        execute_s: float | None,
         result: str | None = None,
         error: str | None = None,
-        owner_id: str | None = None,
-        lease_generation: int | None = None,
-        execute_s: float | None = None,
     ) -> None:
         now = time.time()
-        fenced = owner_id is not None and lease_generation is not None
-        # the lease itself ends here (expiry cleared) but the owner stays
-        # on the record — "which daemon finished this job" is the takeover
-        # oracle of the crash harness and of operators reading the API
-        query = (
-            "UPDATE jobs SET status = ?, finished_at = ?, result = ?, error = ?,"
-            " lease_expiry = NULL WHERE id = ?"
-        )
-        params: tuple = (status, now, result, error, job_id)
-        if fenced:
-            query += " AND owner = ? AND lease_generation = ? AND status = 'running'"
-            params += (owner_id, lease_generation)
         with self._lock:
-            started_at = tenant = None
             row = self._conn.execute(
                 "SELECT started_at, COALESCE(tenant, 'anonymous')"
                 " FROM jobs WHERE id = ?", (job_id,)
             ).fetchone()
-            if row is not None:
-                started_at, tenant = row
-            updated = self._conn.execute(query, params).rowcount
-            if updated and tenant is not None:
+            if row is None:
+                raise KeyError(f"unknown job id {job_id!r}")
+            started_at, tenant = row
+            # the lease itself ends here (expiry cleared) but the owner
+            # stays on the record — "which daemon finished this job" is the
+            # takeover oracle of the crash harness and of operators
+            updated = self._conn.execute(
+                "UPDATE jobs SET status = ?, finished_at = ?, result = ?, error = ?,"
+                " lease_expiry = NULL WHERE id = ? AND owner = ?"
+                " AND lease_generation = ? AND status = 'running'",
+                (status, now, result, error, job_id, owner_id, lease_generation),
+            ).rowcount
+            if updated:
                 # charge the tenant atomically with the transition (the
                 # fenced UPDATE guarantees at most one caller gets here
                 # per lease generation, so nothing is double-counted)
@@ -746,16 +726,13 @@ class JobQueue:
                     (tenant, float(execute_s), float(execute_s)),
                 )
             self._conn.commit()
-            if updated:
-                self._job_finished.notify_all()
-            else:
-                if row is None:
-                    raise KeyError(f"unknown job id {job_id!r}")
+            if not updated:
                 raise StaleLeaseError(
                     f"job {job_id!r}: lease generation {lease_generation} of"
                     f" owner {owner_id!r} is stale — the job was reclaimed;"
                     " dropping this outcome"
                 )
+            self._job_finished.notify_all()
         if self._job_duration is not None and started_at is not None:
             self._job_duration.labels(status=status).observe(max(0.0, now - started_at))
 
@@ -915,7 +892,9 @@ class JobQueue:
             ``active`` / ``expired`` / ``unleased`` running-job counts
             (a point-in-time snapshot of the whole queue, i.e. all
             daemons), plus this instance's cumulative ``reclaimed`` and
-            ``lease_expirations`` counters.
+            ``lease_expirations`` counters.  ``unleased`` counts running
+            rows without a lease, which only a queue file written before
+            every claim held a lease can contain; it reads 0 otherwise.
         """
         now = time.time()
         with self._lock:
@@ -943,9 +922,8 @@ class JobQueue:
         kinds of orphan go back to the head of the queue (``submitted_at``
         unchanged, so FIFO order is preserved):
 
-        * **unleased** running jobs — legacy owner-less claims; only the
-          daemon that claimed them can have died for them to still be
-          ``running`` here;
+        * **unleased** running jobs — rows a queue file written before
+          every claim held a lease may still contain;
         * **expired-lease** running jobs — some daemon (this one or a
           peer) died or wedged past its lease.
 

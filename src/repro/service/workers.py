@@ -26,13 +26,13 @@ subprocess is respawned, and the claim/lease/fencing path is exactly the
 thread-mode one (all of it stays in the parent).  See
 ``docs/performance.md``.
 
-With an ``owner_id`` and ``lease_s`` (the daemon provides both), claims
-are **leased**: a per-job heartbeat thread extends the lease while the
-job runs, and completion is fenced on the claim's ``lease_generation`` —
-if the lease was reclaimed by a peer daemon in the meantime, the finish
-raises :class:`~repro.service.queue.StaleLeaseError`, the outcome is
-dropped (counted in :attr:`WorkerPool.lost_leases`) and the reclaimer's
-result stands.  See ``docs/operations.md`` ("Running multiple daemons").
+Every claim holds a **lease** under the pool's ``owner_id``: a per-job
+heartbeat thread extends the lease while the job runs, and completion is
+fenced on the claim's ``lease_generation`` — if the lease was reclaimed
+by a peer daemon in the meantime, the finish raises
+:class:`~repro.service.queue.StaleLeaseError`, the outcome is dropped
+(counted in :attr:`WorkerPool.lost_leases`) and the reclaimer's result
+stands.  See ``docs/operations.md`` ("Running multiple daemons").
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .process_worker import (
 )
 from .queue import JobQueue, StaleLeaseError
 from ..session import Session, spec_from_dict
+from ..utils.validation import check_positive
 
 __all__ = ["WorkerPool", "WORKER_MODES", "FAULT_EXECUTE_SPIN_ENV"]
 
@@ -75,6 +76,10 @@ class WorkerPool:
         The persistent store **shared by every worker session** — the
         single root all caching, deduplication and publication goes
         through.
+    owner_id : str
+        The daemon identity every claim's lease is written under (non-empty).
+    lease_s : float
+        Lease duration of each claim (> 0).
     workers : int
         Number of worker threads (0 is allowed: jobs queue up and survive
         until a pool with workers attaches, which the restart-resume test
@@ -93,12 +98,6 @@ class WorkerPool:
     trace_sink : optional
         Trace sink shared by every worker session (the daemon's
         ``--trace-file``); each executed job emits one JSON line.
-    owner_id : str, optional
-        The daemon identity claims are leased under.  Without it (plain
-        embedders, tests) claims are the legacy owner-less FIFO flip.
-    lease_s : float, optional
-        Lease duration of each claim; required together with
-        ``owner_id`` for leased claims.
     heartbeat_s : float, optional
         Lease-extension cadence (default: a third of ``lease_s``).
     worker_mode : str
@@ -110,13 +109,13 @@ class WorkerPool:
         self,
         queue: JobQueue,
         store,
+        owner_id: str,
+        lease_s: float,
         workers: int = 2,
         session_num_workers: int = 1,
         poll_s: float = 0.5,
         shadow_rate: float | None = None,
         trace_sink=None,
-        owner_id: str | None = None,
-        lease_s: float | None = None,
         heartbeat_s: float | None = None,
         worker_mode: str = "thread",
     ):
@@ -128,10 +127,8 @@ class WorkerPool:
         self.shadow_rate = shadow_rate
         self.trace_sink = trace_sink
         self.owner_id = owner_id
-        self.lease_s = None if lease_s is None else float(lease_s)
-        if heartbeat_s is None and self.lease_s is not None:
-            heartbeat_s = self.lease_s / 3.0
-        self.heartbeat_s = None if heartbeat_s is None else float(heartbeat_s)
+        self.lease_s = check_positive(lease_s, "lease_s")
+        self.heartbeat_s = self.lease_s / 3.0 if heartbeat_s is None else float(heartbeat_s)
         if worker_mode not in WORKER_MODES:
             raise ValueError(f"worker_mode must be one of {WORKER_MODES}, got {worker_mode!r}")
         self.worker_mode = worker_mode
@@ -152,11 +149,6 @@ class WorkerPool:
         self._sessions_lock = threading.Lock()
         self._stop = threading.Event()
         self._started = False
-
-    @property
-    def leased(self) -> bool:
-        """Whether this pool claims with leases (owner + duration set)."""
-        return self.owner_id is not None and self.lease_s is not None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -180,10 +172,9 @@ class WorkerPool:
             self._retired_stats = {key: 0 for key in self.STAT_KEYS}
             self._retired_store_stats = {}
         self._threads.clear()
-        target = self._run_worker if self.worker_mode == "thread" else self._run_worker_process
         for index in range(self.workers):
             thread = threading.Thread(
-                target=target,
+                target=self._run_worker,
                 args=(self._stop,),
                 name=f"repro-service-worker-{index}",
                 daemon=True,
@@ -291,8 +282,25 @@ class WorkerPool:
 
         ``stop`` is this worker *generation's* event (not read from
         ``self``), so a restarted pool can never un-stop a straggler from
-        the previous generation.
+        the previous generation.  Claims, lease heartbeats and fencing
+        stay in this thread in both modes; only the runner differs.
         """
+        if self.worker_mode == "thread":
+            run, close = self._session_runner()
+        else:
+            run, close = self._process_runner()
+        try:
+            while not stop.is_set():
+                job = self.queue.claim(self.owner_id, self.lease_s)
+                if job is None:
+                    self.queue.wait(timeout=self.poll_s)
+                    continue
+                self._execute_job(run, job)
+        finally:
+            close()
+
+    def _session_runner(self):
+        """Thread mode: ``(run, close)`` over this worker's own ``Session``."""
         session = Session(
             store=self.store, num_workers=self.session_num_workers, max_concurrency=1,
             shadow_rate=self.shadow_rate, trace_sink=self.trace_sink,
@@ -300,7 +308,7 @@ class WorkerPool:
         with self._sessions_lock:
             self._sessions.append(session)
 
-        def runner(spec_dict: dict) -> str:
+        def run(spec_dict: dict) -> str:
             # the GIL-held spin hook runs here — inside the job's
             # execution context — so it contends with sibling worker
             # threads exactly like the job's own interpreter-bound work
@@ -308,21 +316,11 @@ class WorkerPool:
             fault_spin()
             return session.run(spec_from_dict(spec_dict)).to_json(indent=None)
 
-        try:
-            while not stop.is_set():
-                job = self.queue.claim(owner_id=self.owner_id, lease_s=self.lease_s)
-                if job is None:
-                    self.queue.wait(timeout=self.poll_s)
-                    continue
-                self._execute_job(runner, job)
-        finally:
-            session.close()
+        return run, session.close
 
-    def _run_worker_process(self, stop: threading.Event) -> None:
-        """Process-mode worker loop: same claims, subprocess execution.
+    def _process_runner(self):
+        """Process mode: ``(run, close)`` over a dedicated subprocess session.
 
-        The loop, lease heartbeats and fencing all stay in this (parent)
-        thread; only ``session.run`` happens in the dedicated subprocess.
         A crashed subprocess fails the current job with its exit signal,
         rolls its counters into the retired accumulator and is respawned
         — the daemon itself never notices beyond one failed job.
@@ -337,7 +335,7 @@ class WorkerPool:
         with self._sessions_lock:
             self._process_workers.append(worker)
 
-        def runner(spec_dict: dict) -> str:
+        def run(spec_dict: dict) -> str:
             try:
                 return worker.run(spec_dict)
             except WorkerCrashed:
@@ -347,21 +345,16 @@ class WorkerPool:
                 worker.respawn()
                 raise
 
-        try:
-            while not stop.is_set():
-                job = self.queue.claim(owner_id=self.owner_id, lease_s=self.lease_s)
-                if job is None:
-                    self.queue.wait(timeout=self.poll_s)
-                    continue
-                self._execute_job(runner, job)
-        finally:
+        def close() -> None:
             self._retire_worker_stats(worker)
             with self._sessions_lock:
                 if worker in self._process_workers:
                     self._process_workers.remove(worker)
             worker.close()
 
-    def _start_heartbeat(self, job) -> threading.Event | None:
+        return run, close
+
+    def _start_heartbeat(self, job) -> threading.Event:
         """Keep one job's lease alive until the returned event is set.
 
         The heartbeat carries the claim's ``lease_generation``, so it
@@ -372,16 +365,13 @@ class WorkerPool:
         interval, and a genuinely lost lease is caught by the fencing
         check at completion either way.
         """
-        if not self.leased:
-            return None
         done = threading.Event()
 
         def beat() -> None:
             while not done.wait(timeout=self.heartbeat_s):
                 try:
                     alive = self.queue.heartbeat(
-                        job.id, self.owner_id, self.lease_s,
-                        lease_generation=job.lease_generation,
+                        job.id, self.owner_id, self.lease_s, job.lease_generation
                     )
                 except Exception:  # noqa: BLE001 - transient queue errors
                     continue
@@ -402,13 +392,11 @@ class WorkerPool:
         The fault-delay hook, heartbeats and fencing run here in the
         worker thread regardless of mode.
 
-        Leased pools finish with the claim's fencing token: a
+        Every finish carries the claim's fencing token: a
         :class:`StaleLeaseError` means a peer reclaimed the job while it
         ran here — the outcome is dropped (``lost_leases``), because the
         reclaimer's generation owns the right to publish.
         """
-        fence = dict(owner_id=self.owner_id, lease_generation=job.lease_generation) \
-            if self.leased else {}
         heartbeat_done = self._start_heartbeat(job)
         execute_started = time.monotonic()
         try:
@@ -417,8 +405,8 @@ class WorkerPool:
                 time.sleep(delay)
             result_json = runner(job.spec)
             self.queue.complete(
-                job.id, result_json,
-                execute_s=time.monotonic() - execute_started, **fence,
+                job.id, result_json, self.owner_id, job.lease_generation,
+                execute_s=time.monotonic() - execute_started,
             )
         except StaleLeaseError:
             with self._lost_lock:
@@ -429,8 +417,8 @@ class WorkerPool:
             message = getattr(exc, "job_error", None) or f"{type(exc).__name__}: {exc}"
             try:
                 self.queue.fail(
-                    job.id, message,
-                    execute_s=time.monotonic() - execute_started, **fence,
+                    job.id, message, self.owner_id, job.lease_generation,
+                    execute_s=time.monotonic() - execute_started,
                 )
             except StaleLeaseError:
                 with self._lost_lock:
@@ -438,8 +426,7 @@ class WorkerPool:
             except Exception:  # noqa: BLE001 - queue gone mid-shutdown
                 pass
         finally:
-            if heartbeat_done is not None:
-                heartbeat_done.set()
+            heartbeat_done.set()
 
     def __repr__(self) -> str:
         state = "started" if self._started else "stopped"

@@ -70,7 +70,7 @@ import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Generic, Iterable, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, TypeVar
 
 __all__ = [
     "parallel_map",
@@ -364,8 +364,8 @@ def _timed_call(
     """``func(*args)`` and its wall time, measured where it runs.
 
     A pool worker first takes on the submitter's ``REPRO_*`` variables
-    (``environment``), so a knob set after the pool started, such as
-    ``REPRO_MAX_OPT_ITER``, applies to the call as it would inline.
+    (``environment``), so a knob set after the pool started applies to
+    the call as it would inline.
     """
     if environment is not None:
         _apply_environment(environment)

@@ -12,7 +12,6 @@ execution order of the children.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
 
 import numpy as np
 

@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.backend import PulseBackend, Result, SimulationOptions, depolarizing_superop
+from repro.backend import Result, SimulationOptions, depolarizing_superop
 from repro.backend import backend as backend_module
 from repro.backend.noise import apply_readout_error, embed_channel, readout_confusion_matrix
 from repro.circuits import QuantumCircuit
-from repro.devices import QubitProperties, fake_montreal
+from repro.devices import QubitProperties
 from repro.pulse import Constant, Drag, DriveChannel, Play, Schedule, ShiftPhase
 from repro.pulse.calibrations import default_drag_x
 from harness.quantum import is_cptp, is_trace_preserving, unitary_overlap_fidelity
 from repro.qobj import (
     average_gate_fidelity,
     cx_gate,
-    hadamard,
     rz_gate,
     sx_gate,
     unitary_superop,

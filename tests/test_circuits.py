@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import (
-    Barrier,
     Gate,
-    Measurement,
     QuantumCircuit,
     TranspileError,
     decompose_1q_to_basis,
@@ -18,7 +16,7 @@ from repro.circuits import (
 )
 from repro.pulse import Schedule
 from harness.quantum import random_unitary, synthesis_fidelity_check, unitary_overlap_fidelity
-from repro.qobj import cx_gate, hadamard, rz_gate, s_gate, standard_gate_unitary, swap_gate, sx_gate, t_gate, x_gate
+from repro.qobj import hadamard, rz_gate, s_gate, standard_gate_unitary, swap_gate, sx_gate, t_gate, x_gate
 from repro.utils.validation import ValidationError
 
 

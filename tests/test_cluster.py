@@ -174,7 +174,7 @@ class TestQueueLeaseUnit:
         assert queue.heartbeat(job_id, "a", 60.0, lease_generation=1)
         assert queue.get(job_id).lease_expiry > before
         # wrong owner or stale generation: no extension
-        assert not queue.heartbeat(job_id, "b", 60.0)
+        assert not queue.heartbeat(job_id, "b", 60.0, lease_generation=1)
         assert not queue.heartbeat(job_id, "a", 60.0, lease_generation=0)
 
         # a fenced finish from a non-owner is refused
@@ -210,15 +210,27 @@ class TestQueueLeaseUnit:
         queue.close()
 
     def test_live_leases_survive_recover(self, tmp_path):
+        import sqlite3
+
         from repro.service import JobQueue
 
-        queue = JobQueue(tmp_path / "queue.sqlite3")
+        path = tmp_path / "queue.sqlite3"
+        queue = JobQueue(path)
         live_id = queue.submit({"kind": "rb", "seed": 1})
         dead_id = queue.submit({"kind": "rb", "seed": 2})
         legacy_id = queue.submit({"kind": "rb", "seed": 3})
         assert queue.claim(owner_id="healthy-peer", lease_s=60.0).id == live_id
         assert queue.claim(owner_id="dead-peer", lease_s=0.05).id == dead_id
-        assert queue.claim().id == legacy_id  # owner-less legacy claim
+        # a running row without a lease, as a queue file written before
+        # every claim held a lease may contain
+        older_version = sqlite3.connect(path)
+        with older_version:
+            older_version.execute(
+                "UPDATE jobs SET status = 'running', attempts = 1 WHERE id = ?",
+                (legacy_id,),
+            )
+        older_version.close()
+        assert queue.lease_stats()["unleased"] == 1
         import time
 
         time.sleep(0.1)
@@ -231,17 +243,61 @@ class TestQueueLeaseUnit:
         assert queue.lease_expirations == 1
         queue.close()
 
-    def test_owner_less_claims_keep_legacy_semantics(self, tmp_path):
-        from repro.service import JobQueue
+    @pytest.mark.parametrize("lease_s", [0.0, -1.0])
+    def test_every_claim_needs_a_positive_lease(self, tmp_path, lease_s):
+        """No entry point takes a claim without a lease: the queue, the
+        pool, the daemon's config and both ``--lease`` command lines
+        reject a lease that is not > 0."""
+        from repro.service import JobQueue, ServiceConfig
+        from repro.service.__main__ import build_parser
+        from repro.service.cluster import main as cluster_main
+        from repro.service.workers import WorkerPool
+        from repro.utils.validation import ValidationError
 
         queue = JobQueue(tmp_path / "queue.sqlite3")
         queue.submit({"kind": "rb", "seed": 1})
-        job = queue.claim()
-        assert job.owner is None and job.lease_expiry is None
-        # no reclaim channel without a lease: nothing else to claim
-        assert queue.claim() is None
-        assert queue.claim(owner_id="x", lease_s=30.0) is None
+        with pytest.raises(ValidationError):
+            queue.claim("a", lease_s)
+        assert queue.counts()["running"] == 0
+        with pytest.raises(ValidationError):
+            WorkerPool(queue, None, owner_id="a", lease_s=lease_s)
+        with pytest.raises(ValidationError):
+            ServiceConfig(lease_s=lease_s)
+        for parse in (build_parser().parse_args, cluster_main):
+            with pytest.raises(SystemExit) as exited:
+                parse(["--lease", str(lease_s)])
+            assert exited.value.code == 2
         queue.close()
+
+    def test_booting_peer_cannot_steal_a_live_claim(self, tmp_path):
+        """Daemon A claims a job; daemon B boots on the same queue file.
+
+        B's recovery and claims leave A's live lease alone.  Once A wedges
+        past its lease, B takes the job over and completes it; A's late
+        completion is fenced off, so the tenant is charged exactly once.
+        """
+        import time
+
+        from repro.service import JobQueue, StaleLeaseError
+
+        path = tmp_path / "queue.sqlite3"
+        daemon_a, daemon_b = JobQueue(path), JobQueue(path)
+        job_id = daemon_a.submit({"kind": "rb", "seed": 1}, tenant="live")
+        claimed = daemon_a.claim("daemon-a", 1.0)
+        assert daemon_b.recover() == 0
+        assert daemon_b.claim("daemon-b", 1.0) is None
+        assert daemon_b.get(job_id).owner == "daemon-a"
+
+        time.sleep(max(0.0, claimed.lease_expiry + 0.1 - time.time()))
+        takeover = daemon_b.claim("daemon-b", 30.0)
+        assert takeover.id == job_id and takeover.lease_generation == 2
+        daemon_b.complete(job_id, '{"by": "b"}', "daemon-b", 2)
+        with pytest.raises(StaleLeaseError):
+            daemon_a.complete(job_id, '{"by": "a"}', "daemon-a", claimed.lease_generation)
+        assert daemon_a.get(job_id).result_json == '{"by": "b"}'
+        accounting = daemon_a.tenant_accounting()["live"]
+        assert accounting["submitted"] == accounting["completed"] == 1
+        daemon_a.close(), daemon_b.close()
 
 
 class TestProcessWorkerIsolation:
@@ -308,7 +364,9 @@ class TestProcessWorkerIsolation:
         )
         store = ArtifactStore(tmp_path / "store")
         queue = JobQueue(tmp_path / "queue.sqlite3")
-        pool = WorkerPool(queue, store, workers=1, worker_mode="process")
+        pool = WorkerPool(
+            queue, store, owner_id="pool", lease_s=30.0, workers=1, worker_mode="process"
+        )
         pool.start()
         try:
             ok_id = queue.submit(ok_spec.to_dict())

@@ -69,3 +69,61 @@ def test_public_api_docstring_coverage():
             missing.append(f"{path.name}: module docstring")
         walk(path, tree)
     assert not missing, "missing public docstrings:\n" + "\n".join(missing)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Imports of one module that no name, string annotation or ``__all__`` uses."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    quoted: list[str] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if "# noqa" in lines[alias.lineno - 1] or "# noqa" in lines[node.lineno - 1]:
+                    continue
+                imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+        annotations = []
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for annotation in filter(None, annotations):
+            quoted += [
+                c.value for c in ast.walk(annotation)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            ]
+    for text in quoted:
+        used.update(n.id for n in ast.walk(ast.parse(text, mode="eval")) if isinstance(n, ast.Name))
+    return [
+        f"{path.relative_to(REPO_ROOT)}:{line} {name}"
+        for name, line in sorted(imported.items(), key=lambda item: item[1])
+        if name not in used
+    ]
+
+
+def test_no_unused_imports_in_src():
+    """Mirror of the blocking ``ruff check --select F401 src`` step.
+
+    Package ``__init__.py`` files are skipped: their imports are the
+    re-exports that make up each package's public surface.
+    """
+    unused = [
+        entry
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        if path.name != "__init__.py"
+        for entry in _unused_imports(path)
+    ]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -44,6 +44,7 @@ from repro.session.results import ExperimentResult
 from repro.store import ArtifactStore
 from repro.store.__main__ import main as store_cli
 from repro.utils.validation import ValidationError
+from harness.leases import OWNER, claim, complete, fail
 
 #: Small-but-real RB workload shared by the service tests (sub-second).
 FAST_RB = dict(device="montreal", qubits=(0,), lengths=(1, 4, 8), n_seeds=1, shots=100, seed=5)
@@ -84,12 +85,12 @@ class TestJobQueue:
         job_id = queue.submit(spec)
         assert queue.counts() == {"queued": 1, "running": 0, "done": 0, "failed": 0}
 
-        job = queue.claim()
+        job = claim(queue)
         assert job.id == job_id and job.status == "running" and job.attempts == 1
         assert job.spec == spec
-        assert queue.claim() is None  # nothing else queued
+        assert claim(queue) is None  # nothing else queued
 
-        queue.complete(job_id, _result_for(spec).to_json(indent=None))
+        complete(queue, job, _result_for(spec).to_json(indent=None))
         done = queue.get(job_id)
         assert done.status == "done" and done.finished_at is not None
         assert json.loads(done.result_json)["kind"] == "rb"
@@ -99,7 +100,7 @@ class TestJobQueue:
     def test_fifo_order_and_listing(self, tmp_path):
         queue = JobQueue(tmp_path / "queue.sqlite3")
         ids = [queue.submit({"kind": "rb", "seed": n}) for n in range(3)]
-        assert [queue.claim().id for _ in range(3)] == ids
+        assert [claim(queue).id for _ in range(3)] == ids
         listed = queue.jobs(status="running")
         assert {job.id for job in listed} == set(ids)
         with pytest.raises(ValidationError):
@@ -120,8 +121,9 @@ class TestJobQueue:
         path = tmp_path / "queue.sqlite3"
         crashed = JobQueue(path)
         job_id = crashed.submit({"kind": "rb", "seed": 1})
-        assert crashed.claim().id == job_id  # daemon died mid-execution here
+        assert claim(crashed, lease_s=0.01).id == job_id  # daemon died mid-execution here
         crashed.close()
+        time.sleep(0.05)  # its lease runs out
 
         rebooted = JobQueue(path)
         assert rebooted.recover() == 1
@@ -135,7 +137,7 @@ class TestJobQueue:
         with pytest.raises(ValidationError):
             queue.submit({"no": "kind"})
         with pytest.raises(KeyError):
-            queue.complete("nope", "{}")
+            queue.complete("nope", "{}", OWNER, 1)
         assert queue.get("nope") is None
         queue.close()
 
@@ -162,7 +164,7 @@ class TestJobQueue:
         assert rebooted.recover() == 1
         assert rebooted.get(queued_id).status == "queued"
         assert rebooted.get(running_id).status == "queued"
-        assert rebooted.claim().id == queued_id  # FIFO order preserved
+        assert claim(rebooted).id == queued_id  # FIFO order preserved
         rebooted.close()
 
     def test_duplicate_claim_race_has_exactly_one_winner(self, tmp_path):
@@ -206,9 +208,9 @@ class TestJobQueue:
         """
         queue = JobQueue(tmp_path / "queue.sqlite3")
         job_id = queue.submit({"kind": "rb", "seed": 1})
-        queue.claim()
+        job = claim(queue)
         dirty = "solver exploded on " + b"\xff\xfe raw".decode("utf-8", "surrogateescape")
-        queue.fail(job_id, dirty)
+        fail(queue, job, dirty)
         job = queue.get(job_id)
         assert job.status == "failed"
         assert "solver exploded on" in job.error
@@ -333,8 +335,7 @@ class TestLongPoll:
     def test_wait_finished_wakes_on_local_completion(self, tmp_path):
         queue = JobQueue(tmp_path / "queue.sqlite3")
         job_id = queue.submit({"kind": "rb", "seed": 1})
-        queue.claim()
-        timer = threading.Timer(0.2, queue.complete, args=(job_id, "{}"))
+        timer = threading.Timer(0.2, complete, args=(queue, claim(queue)))
         timer.start()
         started = time.monotonic()
         # the re-read interval is far away: only the notification can wake it
@@ -352,12 +353,12 @@ class TestLongPoll:
         path = tmp_path / "queue.sqlite3"
         waiter, peer = JobQueue(path), JobQueue(path)
         job_id = waiter.submit({"kind": "rb", "seed": 1})
-        peer.claim()
+        job = claim(peer)
         finished_at = []
 
         def finish():
             time.sleep(0.3)
-            peer.complete(job_id, "{}")
+            complete(peer, job)
             finished_at.append(time.monotonic())
 
         thread = threading.Thread(target=finish)
@@ -383,9 +384,9 @@ class TestLongPoll:
         def wait(job_id, outcomes):
             outcomes[job_id] = queue.wait_finished(job_id, timeout=10.0, poll_s=60.0)
 
-        def finish(ids):
-            for job_id in ids:
-                queue.complete(job_id, "{}")
+        def finish(jobs):
+            for job in jobs:
+                complete(queue, job)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -393,15 +394,14 @@ class TestLongPoll:
             started = time.monotonic()
             for _ in range(250):
                 job_ids = [queue.submit({"kind": "rb", "seed": n}) for n in range(8)]
-                for _ in job_ids:
-                    queue.claim()
+                jobs = [claim(queue) for _ in job_ids]
                 outcomes = {}
                 waiters = [
                     threading.Thread(target=wait, args=(job_id, outcomes))
                     for job_id in job_ids
                 ]
                 finishers = [
-                    threading.Thread(target=finish, args=(job_ids[half::2],))
+                    threading.Thread(target=finish, args=(jobs[half::2],))
                     for half in (0, 1)
                 ]
                 for thread in waiters + finishers:
@@ -531,10 +531,11 @@ class TestRestartResume:
             job_ids = [client.submit(spec), client.submit(RBSpec(**{**FAST_RB, "seed": 6}))]
             assert client.health()["jobs"]["queued"] == 2
 
-        # simulate a crash mid-execution: flip one job to running directly
+        # simulate a crash mid-execution: claim one job, let its lease lapse
         queue = JobQueue(tmp_path / "queue.sqlite3")
-        assert queue.claim() is not None
+        assert claim(queue, lease_s=0.01) is not None
         queue.close()
+        time.sleep(0.05)
 
         # a fresh daemon over the same queue+store resumes and finishes
         with _service(tmp_path, store, workers=1) as service:

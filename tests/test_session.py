@@ -481,6 +481,16 @@ class TestSharedPreparation:
             session.schedule_for(grape)
         assert calls == ["x"]
 
+    def test_grape_iterations_come_from_the_spec_alone(self, monkeypatch):
+        """No environment variable caps GRAPE: a capped pulse would be
+        published, and later replayed, under the uncapped spec's keys."""
+        grape = GRAPESpec(**FAST_GRAPE)
+        with Session(store=None, num_workers=1) as session:
+            reference = session.run(grape)["n_iter"]
+        monkeypatch.setenv("REPRO_MAX_OPT_ITER", "2")
+        with Session(store=None, num_workers=1) as session:
+            assert session.run(grape)["n_iter"] == reference > 2
+
     def test_store_results_bit_identical_to_storeless(self, tmp_path):
         spec = IRBSpec(**FAST_IRB)
         with Session(store=tmp_path / "store", num_workers=1) as stored_session:

@@ -41,6 +41,7 @@ from repro.service import (
 from repro.service.tenancy import TokenBucket, resolve_token_registry
 from repro.session import RBSpec
 from repro.utils.validation import ValidationError
+from harness.leases import claim, complete, fail
 
 #: Small-but-real RB workload for submissions that must validate.
 FAST_RB = dict(device="montreal", qubits=(0,), lengths=(1, 4, 8), n_seeds=1, shots=100, seed=5)
@@ -195,7 +196,7 @@ class TestAdmission:
         assert err.value.reason == "max_queued"
         # the max_queued rejection did not burn the rate token: once the
         # job starts running the submission is admitted on that token
-        queue.claim()
+        claim(queue)
         controller.admit(tenant, queue)
         queue.close()
 
@@ -205,7 +206,7 @@ class TestAdmission:
         tenant = Tenant(id="runcap", max_running=1)
         queue.submit({"kind": "rb", "seed": 1}, tenant="runcap")
         controller.admit(tenant, queue)  # queued jobs don't count
-        queue.claim()
+        claim(queue)
         with pytest.raises(QuotaExceeded) as err:
             controller.admit(tenant, queue)
         assert err.value.reason == "max_running"
@@ -226,10 +227,10 @@ class TestFairScheduling:
         live_id = queue.submit(
             {"kind": "rb", "seed": 99}, tenant="live", priority="interactive"
         )
-        first = queue.claim()
+        first = claim(queue)
         assert first.id == live_id  # claimed ahead of all 20 queued batch jobs
         assert first.tenant == "live" and first.priority == "interactive"
-        assert queue.claim().id == batch_ids[0]  # then the batch tier, FIFO
+        assert claim(queue).id == batch_ids[0]  # then the batch tier, FIFO
         queue.close()
 
     def test_weights_shape_the_claim_ratio(self, tmp_path):
@@ -238,7 +239,7 @@ class TestFairScheduling:
             queue.submit({"kind": "rb", "seed": n}, tenant="heavy", weight=3.0)
         for n in range(12):
             queue.submit({"kind": "rb", "seed": 100 + n}, tenant="light", weight=1.0)
-        claimed = [queue.claim().tenant for _ in range(16)]
+        claimed = [claim(queue).tenant for _ in range(16)]
         # stride scheduling: while both tenants have queued jobs, weight 3
         # is claimed exactly 3x as often as weight 1
         assert claimed.count("heavy") == 12 and claimed.count("light") == 4
@@ -248,21 +249,21 @@ class TestFairScheduling:
         queue = JobQueue(tmp_path / "queue.sqlite3")
         for n in range(4):
             queue.submit({"kind": "rb", "seed": n}, tenant="steady")
-        assert queue.claim().tenant == "steady"
-        assert queue.claim().tenant == "steady"
+        assert claim(queue).tenant == "steady"
+        assert claim(queue).tenant == "steady"
         # a tenant arriving after the virtual time advanced is clamped to
         # the current queued minimum, not zero — it cannot monopolize the
         # queue to "repay" time it spent idle
         queue.submit({"kind": "rb", "seed": 50}, tenant="late")
         queue.submit({"kind": "rb", "seed": 51}, tenant="late")
-        claimed = [queue.claim().tenant for _ in range(4)]
+        claimed = [claim(queue).tenant for _ in range(4)]
         assert claimed == ["steady", "late", "steady", "late"]  # not late x2 first
         queue.close()
 
     def test_legacy_tenantless_fifo_is_preserved(self, tmp_path):
         queue = JobQueue(tmp_path / "queue.sqlite3")
         ids = [queue.submit({"kind": "rb", "seed": n}) for n in range(5)]
-        assert [queue.claim().id for _ in range(5)] == ids
+        assert [claim(queue).id for _ in range(5)] == ids
         queue.close()
 
     def test_claim_race_has_exactly_one_winner_under_tenancy(self, tmp_path):
@@ -334,9 +335,10 @@ class TestFairScheduling:
         assert queue.tenant_counts("acct") == {"queued": 2, "running": 0}
         assert queue.tenant_queue_depths()["acct"] == 2
 
-        queue.claim(), queue.claim()
-        queue.complete(done_id, '{"kind": "rb"}', execute_s=1.5)
-        queue.fail(failed_id, "boom", execute_s=0.5)
+        done, failed = claim(queue), claim(queue)
+        assert (done.id, failed.id) == (done_id, failed_id)
+        complete(queue, done, '{"kind": "rb"}', execute_s=1.5)
+        fail(queue, failed, "boom", execute_s=0.5)
 
         totals = queue.tenant_accounting()["acct"]
         assert totals["submitted"] == 2
@@ -389,9 +391,9 @@ class TestAuthOverHttp:
                 in bulk.metrics()
             )
             # drain the queued job out of the quota window -> admitted
-            job = service.queue.claim()
+            job = claim(service.queue)
             assert job.id == job_id
-            service.queue.fail(job_id, "drained by test")
+            fail(service.queue, job, "drained by test")
             bulk.submit({**spec.to_dict(), "seed": 6})
             accounting = bulk.tenants()["tenants"]["bulk"]["accounting"]
             assert accounting["submitted"] == 2
