@@ -143,12 +143,10 @@ def _store_cold_vs_warm(root) -> dict:
     # process-local mmap cache dropped so the timing includes the real
     # manifest read + np.load + memory-map open a new process would pay
     store_module._OPEN_TABLES.clear()
-    warm_backend = PulseBackend(
-        fake_montreal(), calibrated_qubits=[0, 1], seed=2022,
-        channel_store=ArtifactStore(root),
-    )
+    warm_backend = PulseBackend(fake_montreal(), calibrated_qubits=[0, 1], seed=2022)
+    warm_store = ArtifactStore(root)
     start = time.perf_counter()
-    warm_table = clifford_channel_table(warm_backend, qubits, group)
+    warm_table = clifford_channel_table(warm_backend, qubits, group, store=warm_store)
     for index in indices:
         warm_table.channel_by_index(index)
     warm_setup = time.perf_counter() - start
@@ -157,7 +155,7 @@ def _store_cold_vs_warm(root) -> dict:
     # independent in-memory build — not to the cold table, which reads the
     # same on-disk generation and would compare a file against itself
     reference_backend = PulseBackend(fake_montreal(), calibrated_qubits=[0, 1], seed=2022)
-    reference_table = clifford_channel_table(reference_backend, qubits, group, store=False)
+    reference_table = clifford_channel_table(reference_backend, qubits, group)
     check_indices = indices if SMOKE else indices[::10]
     max_abs_diff = max(
         float(np.max(np.abs(

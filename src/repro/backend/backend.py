@@ -78,7 +78,6 @@ class PulseBackend:
         calibrated_qubits: Sequence[int] | None = None,
         include_cx_calibrations: bool = True,
         seed=None,
-        channel_store=None,
     ):
         """Build a backend from a calibration snapshot.
 
@@ -94,15 +93,6 @@ class PulseBackend:
             Whether to calibrate the coupled-pair CX gates.
         seed : optional
             Seed of the backend's measurement-sampling RNG.
-        channel_store : optional
-            Default persistent Clifford-channel store for RB workloads on
-            this backend: ``"auto"``, a directory path, a
-            :class:`~repro.store.ArtifactStore`, or
-            ``None`` (no persistence).  Experiments may override it per run
-            via their own ``store=`` knob.  Stale reads after a properties
-            drift are impossible by construction — the store key embeds the
-            properties fingerprint (see
-            :meth:`~repro.store.ArtifactStore.channel_table_key`).
         """
         self.properties = properties
         self.options = options or SimulationOptions()
@@ -112,14 +102,6 @@ class PulseBackend:
         self.instruction_schedule_map: InstructionScheduleMap = default_instruction_schedule_map(
             properties, qubits=qubits, include_cx=include_cx_calibrations
         )
-        if channel_store is not None:
-            # resolve eagerly so a bad knob fails at construction, not mid-run
-            from ..store import resolve_store
-
-            channel_store = resolve_store(channel_store)
-        #: Default persistent store consulted by the RB channel engine
-        #: (overridable per experiment via ``store=``).
-        self.channel_store = channel_store
         self._channel_cache: dict[tuple, np.ndarray] = {}
         #: Per-(qubits, store) Clifford-element channel tables built lazily
         #: by the RB execution engine (see ``repro.benchmarking.engine``).
@@ -142,7 +124,7 @@ class PulseBackend:
             Device name understood by the registry.
         **kwargs
             Passed through to :class:`PulseBackend` (``options``,
-            ``calibrated_qubits``, ``seed``, ``channel_store``, …).
+            ``calibrated_qubits``, ``seed``, …).
 
         Returns
         -------

@@ -40,11 +40,11 @@ from .rb import (
     _draw_rows,
     _locate_interleaved_element,
     _recovery_indices,
-    _resolve_experiment_store,
     execute_rb_sequences,
 )
 from ..circuits.gate import Gate
 from ..qobj.gates import x_gate, y_gate, z_gate
+from ..store import resolve_store
 from ..utils.validation import ValidationError
 
 __all__ = [
@@ -215,7 +215,7 @@ def run_cycle_benchmark(
     """
     gate = Gate.standard(gate) if isinstance(gate, str) else gate
     physical_qubits = [int(q) for q in physical_qubits]
-    store = _resolve_experiment_store(store, backend)
+    store = resolve_store(store)
     sequences = cycle_sequences(
         physical_qubits,
         gate,

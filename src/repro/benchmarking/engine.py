@@ -303,9 +303,8 @@ def clifford_channel_table(
     group : CliffordGroup
         Group being tabulated.
     store : optional
-        Store selector (``"auto"``, path, store instance, ``False`` or
-        ``None``).  ``None`` inherits the backend's ``channel_store``;
-        ``False`` forces a purely in-memory table.
+        Store selector (``"auto"``, a path or a store instance);
+        ``None`` keeps the table purely in memory.
 
     Returns
     -------
@@ -313,8 +312,6 @@ def clifford_channel_table(
         The cached (per backend instance, per qubit set, per store) table.
     """
     backend._check_cache_freshness()
-    if store is None:
-        store = getattr(backend, "channel_store", None)
     store = resolve_store(store)
     key = (
         tuple(int(q) for q in physical_qubits),

@@ -30,6 +30,7 @@ from .engine import clifford_channel_table, used_element_indices
 from .rb import RBResult, RBSequence, _check_engine, execute_rb_sequences, rb_circuits, rb_sequences
 from ..circuits.gate import Gate
 from ..pulse.schedule import Schedule
+from ..store import resolve_store
 from ..utils.validation import ValidationError
 
 __all__ = ["InterleavedRBResult", "InterleavedRBExperiment", "InterleavedRB"]
@@ -145,7 +146,7 @@ class InterleavedRBExperiment:
         two curves as one pool call.
     store : optional
         Persistent Clifford-store selector (``"auto"`` | path | store |
-        ``False`` | ``None`` = inherit the backend's ``channel_store``).
+        ``None`` = no store).
     """
 
     def __init__(
@@ -214,9 +215,7 @@ class InterleavedRBExperiment:
         counts practical for the benchmark harness, leaving it free makes the
         α_c ratio — and hence the interleaved-gate error — unstable.
         """
-        from .rb import _resolve_experiment_store
-
-        store = _resolve_experiment_store(self.store, self.backend)
+        store = resolve_store(self.store)
         if self.engine == "circuits":
             sequences = self.circuits()
         else:
@@ -230,7 +229,7 @@ class InterleavedRBExperiment:
                 build_circuits=False,
                 store=store,
             )
-        if self.engine == "channels" and store:
+        if self.engine == "channels" and store is not None:
             # both curves' elements in one table generation (each curve's
             # own coverage then finds them all on disk)
             group = clifford_group(self.n_qubits, store=store)

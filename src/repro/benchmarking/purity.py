@@ -35,13 +35,14 @@ from .rb import (
     DEFAULT_LENGTHS_1Q,
     DEFAULT_LENGTHS_2Q,
     RBSequence,
+    _check_engine,
     _check_lengths,
     _draw_rows,
-    _resolve_experiment_store,
 )
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.transpiler import transpile
 from ..qobj.superop import apply_superop
+from ..store import resolve_store
 from ..utils.validation import ValidationError
 
 __all__ = [
@@ -164,21 +165,18 @@ def run_purity_rb(
         (per-sequence circuit → channel, the reference path).
     store : optional
         Persistent channel-store selector (``"auto"``, path, store
-        instance, ``False`` or ``None`` = inherit the backend's default).
+        instance, or ``None`` = no store).
 
     Returns
     -------
     PurityRBResult
         Per-length shifted purities and the fitted unitarity.
     """
-    if engine not in ("channels", "circuits"):
-        raise ValidationError(
-            f"engine must be one of ('channels', 'circuits'), got {engine!r}"
-        )
+    _check_engine(engine)
     physical_qubits = [int(q) for q in physical_qubits]
     n_qubits = len(physical_qubits)
     d = 2**n_qubits
-    store = _resolve_experiment_store(store, backend)
+    store = resolve_store(store)
     group = clifford_group(n_qubits, store=store)
     sequences = purity_rb_sequences(
         physical_qubits,

@@ -23,6 +23,7 @@ from .clifford import CliffordElement, CliffordGroup, clifford_group
 from .fitting import RBDecayFit, fit_rb_decay
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gate import Gate
+from ..store import resolve_store
 from ..utils.seeding import default_rng, spawn_rngs
 from ..utils.validation import ValidationError
 
@@ -46,23 +47,6 @@ def _check_engine(engine: str) -> str:
     if engine not in _ENGINES:
         raise ValidationError(f"engine must be one of {_ENGINES}, got {engine!r}")
     return engine
-
-
-def _resolve_experiment_store(store, backend):
-    """Resolve an experiment-level ``store`` knob against the backend default.
-
-    Returns either a resolved
-    :class:`~repro.store.ArtifactStore` or ``False``
-    (persistence off), never ``None`` — so downstream layers do not re-apply
-    the backend fallback.
-    """
-    from ..store import resolve_store
-
-    if store is not None:
-        resolved = resolve_store(store)
-    else:
-        resolved = resolve_store(getattr(backend, "channel_store", None))
-    return resolved if resolved is not None else False
 
 
 @dataclass
@@ -371,9 +355,8 @@ class RBExperiment:
     store:
         Persistent Clifford-store selector: ``"auto"`` (default cache
         directory), a directory path, a
-        :class:`~repro.store.ArtifactStore`, ``False``
-        (force off) or ``None`` (default — inherit the backend's
-        ``channel_store``).  See ``docs/caching.md`` for the full
+        :class:`~repro.store.ArtifactStore`, or ``None`` (default — no
+        store).  See ``docs/caching.md`` for the full
         cache/fingerprint/invalidation contract.
     """
 
@@ -404,10 +387,6 @@ class RBExperiment:
         self.num_workers = int(num_workers)
         self.store = store
 
-    def _resolved_store(self):
-        """The experiment's store (or ``False``), honoring the backend default."""
-        return _resolve_experiment_store(self.store, self.backend)
-
     def circuits(self) -> list[RBSequence]:
         """The experiment's RB sequence circuits (circuit engine form)."""
         return rb_circuits(
@@ -423,7 +402,7 @@ class RBExperiment:
         per-circuit calibrations on gates inside the Clifford words).
         """
         engine = "circuits" if calibrations else self.engine
-        store = self._resolved_store()
+        store = resolve_store(self.store)
         sequences = rb_sequences(
             self.physical_qubits,
             self.lengths,
@@ -518,12 +497,11 @@ def execute_rb_sequences(
     per-sequence sampling seeds from ``seed``, in sequence order.
 
     ``store`` selects the persistent Clifford store for the channel engine
-    (``"auto"``, a path, a store instance, ``False`` to force off, or
-    ``None`` to inherit the backend's ``channel_store``).
+    (``"auto"``, a path or a store instance; ``None`` runs without one).
     """
     if not sequences:
         raise ValidationError("no RB sequences to execute")
-    store = _resolve_experiment_store(store, backend)
+    store = resolve_store(store)
     use_channels = (
         engine == "channels"
         and not calibrations

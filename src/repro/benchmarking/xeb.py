@@ -39,10 +39,11 @@ import numpy as np
 from .clifford import CliffordGroup, clifford_group
 from .engine import clifford_channel_table, used_element_indices
 from .fitting import RBDecayFit, fit_rb_decay
-from .rb import RBSequence, _draw_rows, _resolve_experiment_store
+from .rb import RBSequence, _check_engine, _draw_rows
 from ..backend.noise import readout_confusion_matrix
 from ..backend.sampling import channel_output_probabilities, sample_measurement
 from ..circuits.circuit import QuantumCircuit
+from ..store import resolve_store
 from ..utils.seeding import default_rng
 from ..utils.validation import ValidationError
 
@@ -308,19 +309,16 @@ def run_xeb(
         (per-circuit pulse simulation); identical sampling statistics.
     store : optional
         Persistent channel-store selector (``"auto"``, path, store
-        instance, ``False`` or ``None`` = inherit the backend's default).
+        instance, or ``None`` = no store).
 
     Returns
     -------
     XEBResult
         Pooled per-depth fidelities and the fitted layer fidelity.
     """
-    if engine not in ("channels", "circuits"):
-        raise ValidationError(
-            f"engine must be one of ('channels', 'circuits'), got {engine!r}"
-        )
+    _check_engine(engine)
     physical_qubits = [int(q) for q in physical_qubits]
-    store = _resolve_experiment_store(store, backend)
+    store = resolve_store(store)
     group = clifford_group(len(physical_qubits), store=store)
     sequences = xeb_sequences(
         physical_qubits,

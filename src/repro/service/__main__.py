@@ -33,7 +33,7 @@ from .daemon import ExperimentService, ServiceConfig
 
 
 def positive_seconds(text: str) -> float:
-    """argparse type of ``--lease``: a duration in seconds that is > 0."""
+    """argparse type of ``--lease`` and ``--heartbeat``: seconds, > 0."""
     seconds = float(text)
     if not seconds > 0:
         raise argparse.ArgumentTypeError(f"must be > 0 seconds, got {text}")
@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--lease", type=positive_seconds, default=30.0, metavar="SECONDS",
                         help="job-claim lease duration (> 0); peers reclaim a job "
                              "whose lease expires (default: 30)")
-    parser.add_argument("--heartbeat", type=float, default=None, metavar="SECONDS",
-                        help="lease-extension cadence (default: lease/3)")
+    parser.add_argument("--heartbeat", type=positive_seconds, default=None, metavar="SECONDS",
+                        help="lease-extension cadence, > 0 (default: lease/3)")
     parser.add_argument("--owner-id", default=None, metavar="ID",
                         help="lease identity of this daemon (default: a unique "
                              "<hostname>-<pid>-<random>; override for debugging only)")

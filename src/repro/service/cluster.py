@@ -228,11 +228,13 @@ class DaemonProcess:
         return "".join(self._output)
 
     def close(self) -> None:
-        """Tear the subprocess down (terminate, then kill) and join IO."""
+        """Tear the subprocess down (terminate, then kill), join and close IO."""
         if self.process is not None:
             self.terminate()
         if self._drain_thread is not None:
             self._drain_thread.join(timeout=5.0)
+            if not self._drain_thread.is_alive():
+                self.process.stdout.close()  # the drain hit EOF: no reader left
             self._drain_thread = None
 
     def __repr__(self) -> str:
@@ -487,8 +489,8 @@ def main(argv=None) -> int:
                         help="cluster size (default: 3)")
     parser.add_argument("--lease", type=positive_seconds, default=2.0, metavar="SECONDS",
                         help="claim-lease duration, > 0 (default: 2)")
-    parser.add_argument("--heartbeat", type=float, default=0.5, metavar="SECONDS",
-                        help="lease-extension cadence (default: 0.5)")
+    parser.add_argument("--heartbeat", type=positive_seconds, default=0.5, metavar="SECONDS",
+                        help="lease-extension cadence, > 0 (default: 0.5)")
     parser.add_argument("--fault-delay", type=float, default=6.0, metavar="SECONDS",
                         help="seconds the victim parks its job before executing "
                              "(default: 6)")

@@ -138,6 +138,8 @@ class ServiceConfig:
 
     def __post_init__(self):
         check_positive(self.lease_s, "lease_s")
+        if self.heartbeat_s is not None:
+            check_positive(self.heartbeat_s, "heartbeat_s")
 
 
 class ExperimentService:

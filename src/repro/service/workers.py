@@ -128,7 +128,9 @@ class WorkerPool:
         self.trace_sink = trace_sink
         self.owner_id = owner_id
         self.lease_s = check_positive(lease_s, "lease_s")
-        self.heartbeat_s = self.lease_s / 3.0 if heartbeat_s is None else float(heartbeat_s)
+        self.heartbeat_s = (
+            self.lease_s / 3.0 if heartbeat_s is None else check_positive(heartbeat_s, "heartbeat_s")
+        )
         if worker_mode not in WORKER_MODES:
             raise ValueError(f"worker_mode must be one of {WORKER_MODES}, got {worker_mode!r}")
         self.worker_mode = worker_mode

@@ -236,10 +236,6 @@ class Session:
         """The raw :class:`OptimResult` of a GRAPE spec (prepared once)."""
         return self._grape_artifact(spec)[0]
 
-    def _experiment_store(self):
-        """Store argument for experiment constructors (``False`` = off)."""
-        return self.store if self.store is not None else False
-
     def _bump_stat(self, counter: str, n: int = 1) -> None:
         """Increment one session counter (thread-safe)."""
         with self._stats_lock:
@@ -527,7 +523,6 @@ class Session:
             device,
             calibrated_qubits=[0, 1],
             seed=self.seed,
-            channel_store=self.store,
         )
         self._backends[device] = backend
         return backend
@@ -545,9 +540,7 @@ class Session:
 
         backend = self.backend_for(device)
         group = self._group_artifact(len(qubits))
-        return clifford_channel_table(
-            backend, list(qubits), group, store=self._experiment_store()
-        )
+        return clifford_channel_table(backend, list(qubits), group, store=self.store)
 
     # ------------------------------------------------------------------ #
     # execution
@@ -926,7 +919,7 @@ class Session:
             seed=spec.seed,
             engine=spec.engine,
             num_workers=self.num_workers,
-            store=self._experiment_store(),
+            store=self.store,
         )
         result = experiment.run()
         return self._rb_payload(result), self._table_provenance(spec)
@@ -950,7 +943,7 @@ class Session:
             custom_calibration=calibration_schedule,
             engine=spec.engine,
             num_workers=self.num_workers,
-            store=self._experiment_store(),
+            store=self.store,
         )
         result = experiment.run()
         lo, hi = result.systematic_bounds
@@ -1003,7 +996,7 @@ class Session:
             shots=spec.shots,
             seed=spec.seed,
             engine=spec.engine,
-            store=self._experiment_store(),
+            store=self.store,
         )
         payload = {
             "depths": np.asarray(result.depths),
@@ -1026,7 +1019,7 @@ class Session:
             n_seeds=spec.n_seeds,
             seed=spec.seed,
             engine=spec.engine,
-            store=self._experiment_store(),
+            store=self.store,
         )
         payload = {
             "lengths": np.asarray(result.lengths),
@@ -1053,7 +1046,7 @@ class Session:
             seed=spec.seed,
             engine=spec.engine,
             num_workers=self.num_workers,
-            store=self._experiment_store(),
+            store=self.store,
         )
         payload = {"gate_name": result.gate, **self._rb_payload(result.rb)}
         payload["error_per_cycle"] = float(result.error_per_cycle)

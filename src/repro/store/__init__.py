@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .backends import DictBackend, LocalFSBackend, StorageBackend, StorageStat
 from .channels import STORE_FORMAT_VERSION, ChannelTableHandle, ChannelTableMixin
 from .core import NAMESPACES, StoreCore, StoreNamespace, default_store_root
 from .groups import GROUP_FORMAT_VERSION, GroupMixin
@@ -50,10 +49,6 @@ __all__ = [
     "GROUP_FORMAT_VERSION",
     "PULSE_FORMAT_VERSION",
     "RESULT_FORMAT_VERSION",
-    "StorageBackend",
-    "StorageStat",
-    "LocalFSBackend",
-    "DictBackend",
     "default_store_root",
     "resolve_store",
     "result_cache_enabled",
@@ -66,10 +61,9 @@ class ArtifactStore(ChannelTableMixin, GroupMixin, PulseMixin, ResultMixin, Stor
     Parameters
     ----------
     root : str or Path
-        Directory holding the store (created on first write).
-    backend : StorageBackend, optional
-        Byte-level backend of the ``results`` namespace (default: local
-        files under ``root`` — see :mod:`repro.store.backends`).
+        Directory holding the store (created on first write).  Every
+        namespace lives in files under it (see
+        :class:`~repro.store.core.StoreCore` for the layout).
 
     Notes
     -----

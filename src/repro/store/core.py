@@ -37,7 +37,6 @@ import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
-from .backends import LocalFSBackend, StorageBackend
 from .results import RESULTS_PREFIX
 from ..utils.locks import FileLock
 
@@ -177,22 +176,14 @@ class StoreCore:
             <root>/pulses/<key>-<tok>.npz            pulse array generations
             <root>/results/v<N>/<spec>/<props>.json  cached experiment results
             <root>/locks/<name>.lock                 advisory writer locks
-    backend : StorageBackend, optional
-        Byte-level backend carrying the ``results`` namespace's payloads
-        (see :mod:`repro.store.backends`).  Defaults to a
-        :class:`~repro.store.backends.LocalFSBackend` rooted at ``root``,
-        which reproduces the exact pre-seam on-disk layout.  Advisory
-        locks and the mmap-dependent namespaces always stay on the local
-        filesystem; with a non-FS backend, the path-walking maintenance
-        surface (:meth:`ls`, :meth:`disk_stats`, :meth:`rm`) only reflects
-        the filesystem-resident artifacts.
+
+        Every namespace, results included, reads and writes these files
+        directly, so the maintenance surface (:meth:`ls`,
+        :meth:`disk_stats`, :meth:`rm`, :meth:`prune`) sees every entry.
     """
 
-    def __init__(self, root: str | Path, backend: StorageBackend | None = None):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.backend: StorageBackend = (
-            backend if backend is not None else LocalFSBackend(self.root)
-        )
         self._stats_lock = threading.Lock()
         self._counters: dict[str, dict[str, int]] = {
             ns.name: {counter: 0 for counter in ns.counters} for ns in NAMESPACES

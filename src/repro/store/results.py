@@ -13,15 +13,15 @@ where ``N`` is :data:`RESULT_FORMAT_VERSION`.
 
 The cached document is exactly ``ExperimentResult.to_json()`` — lossless,
 self-describing, and bit-identical on reload (see
-:mod:`repro.session.results`).  Payload bytes flow through the store's
-pluggable :class:`~repro.store.backends.StorageBackend` (local files by
-default), so the hot result cache can later live in shared object storage
-while every guarantee below is enforced one layer up, here.  The
-namespace guarantees:
+:mod:`repro.session.results`).  Entries are plain files under the store
+root, so every session, daemon and worker process sharing a root reads and
+publishes the same cache.  The namespace guarantees:
 
 * **exactly-once publication** — writers of one key pair serialize on an
   advisory lock and skip (counted in ``write_skips``) when a racing
-  session already published the identical content;
+  session already published the identical content; the one writer
+  publishes by tmp file + atomic rename
+  (:func:`~repro.store.core.atomic_write_text`);
 * **fail-open reads** — a corrupt or truncated entry is counted
   (``corrupt``) and reported as a miss, so the caller transparently falls
   back to a cold run and republishes;
@@ -57,7 +57,7 @@ __all__ = ["RESULT_FORMAT_VERSION", "ResultMixin", "result_cache_enabled"]
 #: decay fit by variable projection, with its status and reduced χ²) bumps
 #: it, so results of older code are never replayed; spec fingerprints stay.
 RESULT_FORMAT_VERSION = 2
-#: Storage-key prefix (and directory under the store root) of the namespace.
+#: Directory of the namespace under the store root.
 RESULTS_PREFIX = f"results/v{RESULT_FORMAT_VERSION}"
 
 #: Environment variable disabling result/pulse reuse when set to a falsy
@@ -96,24 +96,8 @@ class ResultMixin:
         return self.namespace_dir("results")
 
     def result_path(self, cache_fingerprint: str, properties_fingerprint: str) -> Path:
-        """On-disk location of one cached result (local-FS backend layout).
-
-        With the default :class:`~repro.store.backends.LocalFSBackend`
-        this is the file the entry physically lives in; with a non-FS
-        backend it is the *nominal* path (tooling and messages still name
-        entries by it, but the bytes live behind :attr:`backend`).
-        """
+        """The file one cached result lives in."""
         return self._results_dir() / cache_fingerprint / f"{properties_fingerprint}.json"
-
-    def result_storage_key(
-        self, cache_fingerprint: str, properties_fingerprint: str
-    ) -> str:
-        """The backend storage key of one cached result.
-
-        Content-addressed and prefix-sharded by construction:
-        ``results/v<N>/<spec cache fingerprint>/<properties fingerprint>.json``.
-        """
-        return f"{RESULTS_PREFIX}/{cache_fingerprint}/{properties_fingerprint}.json"
 
     # ------------------------------------------------------------------ #
     # in-flight execution coordination
@@ -173,10 +157,10 @@ class ResultMixin:
         corruption, falls back to a cold run that builds its own
         preparation, and the re-publication repairs the entry.
         """
-        key = self.result_storage_key(cache_fingerprint, properties_fingerprint)
         try:
-            head = self.backend.read_bytes(key, size=512)
-        except (KeyError, OSError):
+            with self.result_path(cache_fingerprint, properties_fingerprint).open("rb") as fh:
+                head = fh.read(512)
+        except OSError:
             return False
         return head.lstrip().startswith(b"{") and b'"format"' in head
 
@@ -190,10 +174,10 @@ class ResultMixin:
         where acting on a half-valid entry would be wrong and where the
         miss/corrupt counters must stay untouched.
         """
-        key = self.result_storage_key(cache_fingerprint, properties_fingerprint)
+        path = self.result_path(cache_fingerprint, properties_fingerprint)
         try:
-            document = json.loads(self.backend.read_bytes(key).decode("utf-8"))
-        except (KeyError, OSError, UnicodeDecodeError, json.JSONDecodeError):
+            document = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return False
         return isinstance(document, dict) and "format" in document
 
@@ -213,14 +197,14 @@ class ResultMixin:
         from ..session.results import ExperimentResult
         from ..utils.validation import ValidationError
 
-        key = self.result_storage_key(cache_fingerprint, properties_fingerprint)
+        path = self.result_path(cache_fingerprint, properties_fingerprint)
         try:
-            text = self.backend.read_bytes(key).decode("utf-8")
-        except KeyError:
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
             self._bump("results", "misses")
             return None
         except (OSError, UnicodeDecodeError):
-            # present but unreadable — a storage fault or mangled bytes;
+            # present but unreadable — an I/O fault or mangled bytes;
             # fail open as a corrupt miss so the caller re-runs
             self._bump("results", "corrupt")
             self._bump("results", "misses")
@@ -231,7 +215,10 @@ class ResultMixin:
             self._bump("results", "corrupt")
             self._bump("results", "misses")
             return None
-        self.backend.touch(key)  # refresh LRU recency (see _prune_results)
+        try:
+            os.utime(path)  # refresh LRU recency (see _prune_results)
+        except OSError:
+            pass  # best-effort: recency is advisory
         self._bump("results", "hits")
         return result
 
@@ -241,21 +228,24 @@ class ResultMixin:
         """Publish one result exactly once; returns True when written.
 
         Racing sessions executing the same spec serialize on the key's
-        advisory lock: the first writer publishes atomically (through the
-        store's byte backend), later ones observe the valid entry and skip
+        advisory lock: the first writer publishes atomically (tmp file +
+        rename), later ones observe the valid entry and skip
         (``write_skips``) — the write counters are how tests prove
         exactly-once publication.  A writer that finds a *corrupt* entry
-        under the lock replaces it.  A storage fault (:class:`OSError`)
+        under the lock replaces it.  An I/O fault (:class:`OSError`)
         propagates: publication must fail loudly, never half-succeed.
         """
+        from .core import atomic_write_text  # core imports this module
+
         text = result.to_json()
         key = f"{cache_fingerprint}/{properties_fingerprint}"
         with self._lock(self._entry_lock_name("results", key)):
             if self.has_valid_result(cache_fingerprint, properties_fingerprint):
                 self._bump("results", "write_skips")
                 return False
-            storage_key = self.result_storage_key(cache_fingerprint, properties_fingerprint)
-            self.backend.write_bytes(storage_key, (text + "\n").encode("utf-8"))
+            path = self.result_path(cache_fingerprint, properties_fingerprint)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write_text(path, text + "\n")
             self._bump("results", "writes")
         return True
 
@@ -280,13 +270,15 @@ class ResultMixin:
             The quarantine file, or None when the entry did not exist.
         """
         path = self.result_path(cache_fingerprint, properties_fingerprint)
+        quarantined = path.with_name(path.name + ".quarantined")
         key = f"{cache_fingerprint}/{properties_fingerprint}"
-        storage_key = self.result_storage_key(cache_fingerprint, properties_fingerprint)
         with self._lock(self._entry_lock_name("results", key)):
-            if not self.backend.rename(storage_key, storage_key + ".quarantined"):
+            try:
+                os.replace(path, quarantined)
+            except FileNotFoundError:
                 return None
             self._bump("results", "quarantined")
-        return path.with_name(path.name + ".quarantined")
+        return quarantined
 
     # ------------------------------------------------------------------ #
     # garbage collection (size/age-bounded LRU eviction)
@@ -332,26 +324,32 @@ class ResultMixin:
         """
         if max_bytes is None and max_age is None:
             return 0
+        namespace_root = self.root / "results"
+        current = self._results_dir()
         try:
-            storage_keys = self.backend.list_keys("results/")
+            # quarantined evidence and tmp litter do not end in .json
+            files = sorted(namespace_root.rglob("*.json"))
         except OSError:
-            return 0  # storage hiccup: skip this sweep, the next retries
+            return 0  # I/O hiccup: skip this sweep, the next retries
         entries: list[tuple[float, int, str]] = []
         stale = 0
-        for storage_key in storage_keys:
-            if not storage_key.endswith(".json"):
-                continue  # quarantined evidence and tmp litter are not entries
-            if not storage_key.startswith(f"{RESULTS_PREFIX}/"):
+        for path in files:
+            if not path.is_relative_to(current):
                 # an older format's result, which is never replayed
-                stale += self.backend.delete(storage_key)
+                try:
+                    path.unlink()
+                    stale += 1
+                except OSError:
+                    pass
                 continue
-            entry_key = storage_key[len(RESULTS_PREFIX) + 1:-len(".json")]
-            if "/" not in entry_key:
+            parts = path.relative_to(current).parts
+            if len(parts) != 2:
                 continue
-            stat = self.backend.stat(storage_key)
-            if stat is None:
+            try:
+                stat = path.stat()
+            except OSError:
                 continue
-            entries.append((stat.mtime, stat.size, entry_key))
+            entries.append((stat.st_mtime, stat.st_size, f"{parts[0]}/{path.stem}"))
         entries.sort()  # least-recently-used first
         now = time.time()
         total = sum(size for _, size, _ in entries)
@@ -366,7 +364,12 @@ class ResultMixin:
             if self._evict_result(entry_key, snapshot_mtime=mtime, lock_timeout=lock_timeout):
                 total -= size
                 evicted += 1
-        self.backend.sweep_empty("results")
+        for directory in sorted(namespace_root.rglob("*"), reverse=True):
+            if directory.is_dir():
+                try:
+                    directory.rmdir()  # fails (kept) unless empty
+                except OSError:
+                    pass
         return stale + evicted
 
     def _evict_result(
@@ -387,17 +390,14 @@ class ResultMixin:
         spec, _, props = key.partition("/")
         if self.result_inflight(spec, props):
             return False
-        storage_key = self.result_storage_key(spec, props)
+        path = self.result_path(spec, props)
         writer = self._lock(self._entry_lock_name("results", key))
         try:
             with writer.acquired(timeout=lock_timeout):
-                stat = self.backend.stat(storage_key)
-                if stat is None:
-                    return False  # already gone
-                if snapshot_mtime is not None and stat.mtime > snapshot_mtime:
+                mtime = path.stat().st_mtime  # already gone: OSError
+                if snapshot_mtime is not None and mtime > snapshot_mtime:
                     return False  # touched since the sweep decided: hot
-                if not self.backend.delete(storage_key):
-                    return False
+                path.unlink()
         except (TimeoutError, OSError):
             return False
         self._bump("results", "evictions")

@@ -5,7 +5,6 @@
 * :mod:`tests.harness.spec_contract` — the spec-conformance battery run
   against every registered experiment spec kind (serialization round
   trips, fingerprint discipline, warm zero-execution replay),
-* :mod:`tests.harness.flaky_backend` — a fault-injecting storage backend,
 * :mod:`tests.harness.quantum` — reference quantum-information helpers
   (random states and unitaries, partial traces, fidelities, CPTP checks)
   the tests build fixtures and oracles from,

@@ -108,12 +108,6 @@ def _interleaved_rb(path, backend):
     InterleavedRB(backend, "x", [0], lengths=(1, 2, 4), n_seeds=1, shots=10, seed=1, store=path).run()
 
 
-def _pulse_backend(path, backend):
-    from repro.backend import PulseBackend
-
-    PulseBackend(backend.properties, calibrated_qubits=[0], channel_store=path)
-
-
 def _clifford_group(path, backend):
     from repro.benchmarking import clifford_group
 
@@ -143,7 +137,7 @@ def _daemon(path, backend):
 
 class TestEntryPoints:
     @pytest.mark.parametrize("entry_point", [
-        _standard_rb, _interleaved_rb, _pulse_backend, _clifford_group,
+        _standard_rb, _interleaved_rb, _clifford_group,
         _channel_table, _session, _daemon,
     ], ids=lambda f: f.__name__.lstrip("_"))
     def test_store_selector_resolves_to_artifact_store(

@@ -79,6 +79,13 @@ class TestClusterDrain:
         assert lease["lost_leases"] == 0
 
 
+    def test_close_releases_the_output_pipe(self, tmp_path):
+        with ServiceCluster(tmp_path, n_daemons=1, workers=0) as cluster:
+            process = cluster.daemons[0].process
+            assert not process.stdout.closed
+        assert process.stdout.closed
+
+
 class TestKillOneOfN:
     def test_sigkilled_daemons_job_migrates_exactly_once(self, tmp_path):
         """The PR acceptance criterion, via the full smoke choreography."""
@@ -266,6 +273,28 @@ class TestQueueLeaseUnit:
         for parse in (build_parser().parse_args, cluster_main):
             with pytest.raises(SystemExit) as exited:
                 parse(["--lease", str(lease_s)])
+            assert exited.value.code == 2
+        queue.close()
+
+    @pytest.mark.parametrize("heartbeat_s", [0.0, -1.0])
+    def test_every_heartbeat_must_be_positive(self, tmp_path, heartbeat_s):
+        """A heartbeat that is not > 0 would rewrite the queue in a tight
+        loop: the pool, the daemon's config and both ``--heartbeat``
+        command lines reject it."""
+        from repro.service import JobQueue, ServiceConfig
+        from repro.service.__main__ import build_parser
+        from repro.service.cluster import main as cluster_main
+        from repro.service.workers import WorkerPool
+        from repro.utils.validation import ValidationError
+
+        queue = JobQueue(tmp_path / "queue.sqlite3")
+        with pytest.raises(ValidationError):
+            WorkerPool(queue, None, owner_id="a", lease_s=1.0, heartbeat_s=heartbeat_s)
+        with pytest.raises(ValidationError):
+            ServiceConfig(heartbeat_s=heartbeat_s)
+        for parse in (build_parser().parse_args, cluster_main):
+            with pytest.raises(SystemExit) as exited:
+                parse(["--heartbeat", str(heartbeat_s)])
             assert exited.value.code == 2
         queue.close()
 

@@ -31,11 +31,6 @@ def store(tmp_path):
     return ArtifactStore(tmp_path / "store")
 
 
-@pytest.fixture
-def store_backend(montreal_props, store):
-    return PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=77, channel_store=store)
-
-
 class TestResolveStore:
     def test_none_and_false_disable(self):
         assert resolve_store(None) is None
@@ -100,22 +95,28 @@ class TestChannelTableRoundTrip:
     def test_rb_results_identical_with_and_without_store(self, montreal_props, store):
         kwargs = dict(lengths=(1, 4, 8), n_seeds=2, shots=200, seed=9)
         plain = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=5)
-        stored = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=5, channel_store=store)
+        stored = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=5)
         r_plain = RBExperiment(plain, [0], **kwargs).run()
-        r_cold = RBExperiment(stored, [0], **kwargs).run()
-        warm = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=5, channel_store=store)
-        r_warm = RBExperiment(warm, [0], **kwargs).run()
+        r_cold = RBExperiment(stored, [0], **kwargs, store=store).run()
+        warm = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=5)
+        r_warm = RBExperiment(warm, [0], **kwargs, store=store).run()
         np.testing.assert_array_equal(r_plain.survival_mean, r_cold.survival_mean)
         np.testing.assert_array_equal(r_plain.survival_mean, r_warm.survival_mean)
 
-    def test_store_false_overrides_backend_default(self, store_backend):
-        experiment = RBExperiment(
-            store_backend, [0], lengths=(1, 4, 8), n_seeds=1, shots=100, seed=2, store=False
-        )
-        experiment.run()
-        assert store_backend.channel_store.load_channel_table(
-            ArtifactStore.channel_table_key(store_backend, (0,), clifford_group(1))
-        ) is None
+    def test_store_none_persists_nothing(self, montreal_props, store):
+        """A store reaches an experiment only through its ``store=``: runs
+        without one persist nothing, even on a backend whose table an
+        earlier run persisted."""
+        backend = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=77)
+        kwargs = dict(lengths=(1, 4, 8), n_seeds=1, shots=100)
+        key = ArtifactStore.channel_table_key(backend, (0,), clifford_group(1))
+        RBExperiment(backend, [0], **kwargs, seed=2, store=store).run()
+        persisted = np.array(store.load_channel_table(key)[0])
+        for selector in (None, False):
+            RBExperiment(backend, [0], **kwargs, seed=3, store=selector).run()
+        built = clifford_channel_table(backend, [0], clifford_group(1))._channels
+        assert set(built) - set(persisted)  # the store-less runs built more
+        np.testing.assert_array_equal(store.load_channel_table(key)[0], persisted)
 
 
 class TestInvalidation:
@@ -130,15 +131,15 @@ class TestInvalidation:
     def test_drift_busts_the_store_and_rebuilds(self, montreal_props, store):
         """After a drift, the engine cold-builds under the new key and the
         old entry stays valid for the old snapshot."""
-        backend = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=1, channel_store=store)
+        backend = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=1)
         group = clifford_group(1)
-        table = clifford_channel_table(backend, [0], group)
+        table = clifford_channel_table(backend, [0], group, store=store)
         table.ensure(range(len(group)))
         old_key = table.store_key
         old_channel = np.array(table.channel_by_index(3))
 
         backend.properties = montreal_props.with_qubit(0, t1=5_000.0, t2=5_000.0)
-        drifted_table = clifford_channel_table(backend, [0], group)
+        drifted_table = clifford_channel_table(backend, [0], group, store=store)
         assert drifted_table is not table  # in-memory table dropped on drift
         assert drifted_table.store_key != old_key
         assert store.load_channel_table(drifted_table.store_key) is None  # cold
@@ -185,8 +186,8 @@ class TestConcurrentReaders:
     def test_worker_processes_read_the_same_mmap_table(self, montreal_props, store):
         """num_workers>1 with a store ships handles, not channel dicts, and
         every worker reads the identical bytes."""
-        backend = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=3, channel_store=store)
-        kwargs = dict(lengths=(1, 4, 8, 16), n_seeds=3, shots=200, seed=4)
+        backend = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=3)
+        kwargs = dict(lengths=(1, 4, 8, 16), n_seeds=3, shots=200, seed=4, store=store)
         serial = RBExperiment(backend, [0], **kwargs, num_workers=1).run()
         fanned = RBExperiment(backend, [0], **kwargs, num_workers=2).run()
         np.testing.assert_array_equal(serial.survival_mean, fanned.survival_mean)
@@ -211,7 +212,7 @@ class TestConcurrentReaders:
         crashing workers with KeyError."""
         from repro.benchmarking.engine import CliffordChannelTable
 
-        backend = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=6, channel_store=store)
+        backend = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=6)
         kwargs = dict(lengths=(1, 4, 8), n_seeds=2, shots=150, seed=12)
         reference = RBExperiment(
             PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=6), [0], **kwargs
@@ -220,12 +221,12 @@ class TestConcurrentReaders:
         # a "loser" generation holding only element 0, as a racing writer
         # that started from an empty table would publish
         losing_store = ArtifactStore(store.root)
-        probe = clifford_channel_table(backend, [0], clifford_group(1))
+        probe = clifford_channel_table(backend, [0], clifford_group(1), store=store)
         probe.ensure([0])
         stale_handle = losing_store.handle(probe.store_key)
         monkeypatch.setattr(CliffordChannelTable, "handle", lambda self: stale_handle)
 
-        result = RBExperiment(backend, [0], **kwargs).run()
+        result = RBExperiment(backend, [0], **kwargs, store=store).run()
         np.testing.assert_array_equal(result.survival_mean, reference.survival_mean)
 
     def test_persistent_pool_is_reused_between_calls(self):
