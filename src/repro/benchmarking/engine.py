@@ -613,9 +613,10 @@ def execute_sequences_with_channels(
         :func:`repro.utils.parallel.pool_submit`; ``1`` runs them inline).
     store : optional
         Persistent channel-store selector (``"auto"``, path, store
-        instance, ``False`` or ``None`` = inherit the backend's default).
-        With a store, used channels are persisted before dispatch and the
-        worker memory-maps them instead of receiving pickled copies.
+        instance, or ``None`` = no store: the used channels are stacked
+        and pickled with the call).  With a store, used channels are
+        persisted before dispatch and the worker memory-maps them instead
+        of receiving pickled copies.
 
     Returns
     -------

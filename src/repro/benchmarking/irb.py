@@ -207,13 +207,44 @@ class InterleavedRBExperiment:
                     seq.circuit.add_calibration(self.gate.name, key_qubits, self.custom_calibration)
         return sequences
 
-    def run(self) -> InterleavedRBResult:
+    @property
+    def fixed_asymptote(self) -> float | None:
+        """The asymptote both fits fix: 1/4 for two qubits, ``None`` (fitted) for one."""
+        return 0.25 if self.n_qubits == 2 else None
+
+    def reference_key(self) -> tuple | None:
+        """What the reference curve depends on besides the backend.
+
+        The qubits, lengths, ``n_seeds``, shots, seed, engine and fixed
+        asymptote — not the interleaved gate or its calibration.  Two
+        experiments on one backend with equal keys draw the same reference
+        sequences and sampling seeds, so their reference curves are
+        bit-identical.  ``None`` unless ``seed`` is an integer: a ``None``
+        seed draws fresh sequences and a generator advances, so such a
+        run's reference is its own.
+        """
+        if not isinstance(self.seed, (int, np.integer)):
+            return None
+        lengths = None if self.lengths is None else tuple(int(m) for m in self.lengths)
+        return (
+            tuple(self.physical_qubits), lengths, self.n_seeds, self.shots,
+            int(self.seed), self.engine, self.fixed_asymptote,
+        )
+
+    def run(self, reference=None) -> InterleavedRBResult:
         """Execute both curves and build the interleaved estimate.
 
         For two-qubit experiments the decay asymptote is fixed to 1/4 in both
         fits (standard practice): with the short sequence lengths and seed
         counts practical for the benchmark harness, leaving it free makes the
         α_c ratio — and hence the interleaved-gate error — unstable.
+
+        ``reference`` shares the reference curve between experiments with
+        equal :meth:`reference_key` on one backend.  It is called as
+        ``reference(compute)``, where ``compute()`` runs this experiment's
+        reference curve, and returns that curve or an identical one
+        computed earlier.  A :class:`~repro.session.Session` passes its
+        batch registry here, so a batch computes each curve once.
         """
         store = resolve_store(self.store)
         if self.engine == "circuits":
@@ -235,22 +266,26 @@ class InterleavedRBExperiment:
             group = clifford_group(self.n_qubits, store=store)
             table = clifford_channel_table(self.backend, self.physical_qubits, group, store=store)
             table.ensure(used_element_indices(sequences))
-        fixed_asymptote = 0.25 if self.n_qubits == 2 else None
         common = dict(
             seed=self.seed,
-            fixed_asymptote=fixed_asymptote,
+            fixed_asymptote=self.fixed_asymptote,
             engine=self.engine,
             num_workers=self.num_workers,
             physical_qubits=self.physical_qubits,
             store=store,
         )
-        reference = execute_rb_sequences(
-            self.backend,
-            [s for s in sequences if not s.interleaved],
-            self.n_qubits,
-            self.shots,
-            **common,
-        )
+
+        def compute() -> RBResult:
+            """This experiment's own reference curve."""
+            return execute_rb_sequences(
+                self.backend,
+                [s for s in sequences if not s.interleaved],
+                self.n_qubits,
+                self.shots,
+                **common,
+            )
+
+        reference_curve = compute() if reference is None else reference(compute)
         interleaved = execute_rb_sequences(
             self.backend,
             [s for s in sequences if s.interleaved],
@@ -262,7 +297,7 @@ class InterleavedRBExperiment:
         )
         label = self.base_gate_name + ("_custom" if self.custom_calibration is not None else "_default")
         return InterleavedRBResult(
-            reference=reference,
+            reference=reference_curve,
             interleaved=interleaved,
             gate_name=label,
             n_qubits=self.n_qubits,

@@ -11,8 +11,9 @@ This package models the IBM Q backends used in the paper:
   operators derived from T1/T2,
 * :mod:`~repro.devices.cross_resonance` — the effective cross-resonance (CR)
   Hamiltonian of Eq. (1) of the paper, used for the two-qubit CNOT work,
-* :mod:`~repro.devices.coupling` — coupling-map graphs (networkx) including
-  the 27-qubit Falcon heavy-hex layout shared by ibmq_montreal/toronto,
+* :mod:`~repro.devices.coupling` — coupling-map graphs (adjacency dicts with
+  breadth-first distances) including the 27-qubit Falcon heavy-hex layout
+  shared by ibmq_montreal/toronto,
 * :mod:`~repro.devices.drift` — a day-to-day calibration-drift process used
   by the Section V drift study,
 * :mod:`~repro.devices.library` — parameter sets for the specific devices the

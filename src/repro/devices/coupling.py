@@ -9,9 +9,8 @@ lets experiment code make the same choice programmatically.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable
-
-import networkx as nx
 
 from ..utils.validation import ValidationError
 
@@ -52,64 +51,83 @@ FALCON27_EDGES: tuple[tuple[int, int], ...] = (
 
 
 class CouplingMap:
-    """Undirected qubit-connectivity graph with convenience queries."""
+    """Undirected qubit-connectivity graph with convenience queries.
+
+    Stored as an adjacency dict (qubit → set of neighbours); distances and
+    paths come from a breadth-first search.
+    """
 
     def __init__(self, n_qubits: int, edges: Iterable[tuple[int, int]]):
         if n_qubits < 1:
             raise ValidationError(f"n_qubits must be >= 1, got {n_qubits}")
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(range(n_qubits))
+        self._adjacency: dict[int, set[int]] = {q: set() for q in range(n_qubits)}
         for a, b in edges:
             if not (0 <= a < n_qubits and 0 <= b < n_qubits) or a == b:
                 raise ValidationError(f"invalid edge ({a}, {b}) for {n_qubits} qubits")
-            self._graph.add_edge(int(a), int(b))
+            self._adjacency[int(a)].add(int(b))
+            self._adjacency[int(b)].add(int(a))
 
     # ------------------------------------------------------------------ #
     @property
     def n_qubits(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._adjacency)
 
     @property
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(tuple(sorted(e)) for e in self._graph.edges)
+        return sorted((a, b) for a, neighbours in self._adjacency.items() for b in neighbours if a < b)
 
     def neighbors(self, qubit: int) -> list[int]:
         """Qubits directly coupled to ``qubit``."""
         self._check(qubit)
-        return sorted(self._graph.neighbors(qubit))
+        return sorted(self._adjacency[qubit])
 
     def degree(self, qubit: int) -> int:
         """Number of neighbors of ``qubit``."""
         self._check(qubit)
-        return int(self._graph.degree[qubit])
+        return len(self._adjacency[qubit])
 
     def are_coupled(self, a: int, b: int) -> bool:
         """Whether a two-qubit gate between ``a`` and ``b`` is directly supported."""
         self._check(a)
         self._check(b)
-        return self._graph.has_edge(a, b)
+        return b in self._adjacency[a]
+
+    def _parents(self, source: int) -> dict[int, int | None]:
+        """Breadth-first search tree from ``source``: reached qubit → its parent."""
+        parents: dict[int, int | None] = {source: None}
+        frontier = deque([source])
+        while frontier:
+            qubit = frontier.popleft()
+            for neighbour in sorted(self._adjacency[qubit]):
+                if neighbour not in parents:
+                    parents[neighbour] = qubit
+                    frontier.append(neighbour)
+        return parents
 
     def distance(self, a: int, b: int) -> int:
         """Shortest-path distance between two qubits."""
-        self._check(a)
-        self._check(b)
-        return int(nx.shortest_path_length(self._graph, a, b))
+        return len(self.shortest_path(a, b)) - 1
 
     def shortest_path(self, a: int, b: int) -> list[int]:
         """One shortest path between two qubits (inclusive of endpoints)."""
         self._check(a)
         self._check(b)
-        return list(nx.shortest_path(self._graph, a, b))
+        parents = self._parents(a)
+        if b not in parents:
+            raise ValidationError(f"qubits {a} and {b} are not connected")
+        path = [b]
+        while path[-1] != a:
+            path.append(parents[path[-1]])
+        return path[::-1]
 
     def is_connected(self) -> bool:
         """Whether every qubit can reach every other via couplings."""
-        return nx.is_connected(self._graph)
+        return len(self._parents(0)) == self.n_qubits
 
     def lowest_degree_qubits(self) -> list[int]:
         """Qubits with the minimum connectivity (the paper picks such a qubit)."""
-        degrees = dict(self._graph.degree)
-        min_deg = min(degrees.values())
-        return sorted(q for q, d in degrees.items() if d == min_deg)
+        min_deg = min(len(neighbours) for neighbours in self._adjacency.values())
+        return [q for q, neighbours in self._adjacency.items() if len(neighbours) == min_deg]
 
     def _check(self, qubit: int) -> None:
         if not 0 <= qubit < self.n_qubits:

@@ -63,7 +63,8 @@ class ServiceConfig:
     store : str or Path or ArtifactStore
         Persistent-store selector (``"auto"`` | path | instance).  The
         service *requires* persistence — the store is its shared state —
-        so ``None``/``False`` are rejected.
+        so ``None`` is rejected; so is any other non-store value
+        (``False`` included), by :func:`~repro.store.resolve_store`.
     queue_path : str or Path, optional
         Job-database file; defaults to ``<store root>/service/queue.sqlite3``
         so the queue lives (and survives) next to the artifacts.

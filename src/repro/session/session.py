@@ -29,7 +29,9 @@ process pool of :mod:`repro.utils.parallel` while the calling thread
 builds the rest, and a spec waits only for the pulse it needs.  Each
 experiment draws its sequences once and builds the table elements they
 use under the table's own lock, so an element shared by several specs is
-built (and persisted) exactly once.
+built (and persisted) exactly once.  The reference curve of an IRB does
+not depend on the interleaved gate, so ``custom`` and ``default`` above
+compute it once and both read it.
 ``submit(spec)`` returns a
 :class:`~concurrent.futures.Future` immediately; concurrent submits of
 overlapping specs coordinate through per-artifact locks.
@@ -54,15 +56,17 @@ computed (all randomness flows from per-spec seeds).
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .loader import load_execution_modules
 from .planner import SessionPlan, plan_specs, prep_steps_for
 from .results import ExperimentResult
 from .specs import ExperimentSpec, GRAPESpec, OptimizerSpec
@@ -86,7 +90,7 @@ class Session:
     store : optional
         Persistent Clifford-store selector: ``"auto"`` (default cache
         directory), a path, a :class:`~repro.store.ArtifactStore`, or
-        ``None`` / ``False`` for no persistence.
+        ``None`` for no persistence.
     num_workers : int
         Process fan-out for spec execution: ``0`` = all available CPUs,
         ``1`` = serial.
@@ -144,7 +148,10 @@ class Session:
         self.result_cache = self.store is not None and result_cache_enabled(result_cache)
         self.shadow = ShadowSampler(shadow_rate, seed=shadow_seed)
         self.trace_sink = resolve_trace_sink(trace_sink)
-        self._trace_local = threading.local()
+        #: Per-thread state of the job a thread serves: its ``trace`` and
+        #: the ``batch`` token its shared reference curves are keyed under.
+        self._local = threading.local()
+        self._batches = itertools.count(1)
         self.num_workers = int(num_workers)
         # fork the process pool now, while this thread runs alone: a fork
         # from an executor thread can copy a lock another thread holds
@@ -294,11 +301,15 @@ class Session:
         artifact (group, backend, GRAPE pulse, channel table) exactly
         once — the rest block until it is ready, then execute.
         """
+        return self._submit(spec)
+
+    def _submit(self, spec: ExperimentSpec, batch: int | None = None) -> "Future[ExperimentResult]":
+        """Queue one root job; ``batch`` is the token of the ``run_all`` it belongs to."""
         if self._closed:
             raise ValidationError("session is closed")
         if not isinstance(spec, ExperimentSpec):
             raise ValidationError(f"submit expects an ExperimentSpec, got {type(spec).__name__}")
-        return self._executor.submit(self._run_spec, spec)
+        return self._executor.submit(self._run_spec, spec, batch)
 
     def run(self, spec: ExperimentSpec) -> ExperimentResult:
         """Execute one spec synchronously (``submit(...).result()``)."""
@@ -313,12 +324,22 @@ class Session:
         qubits share one backend, group and channel table, created before
         any experiment starts.  Each experiment then builds the table
         elements its own sequences use.
+
+        IRB specs of the batch that draw the same reference curve read one
+        :class:`~repro.benchmarking.rb.RBResult`, computed by the first of
+        them (see :meth:`_shared_reference`); the batch's curves are
+        dropped when it returns.
         """
         specs = list(specs)
         plan = self.plan(specs)
         self._build_plan(plan)
-        futures = [self.submit(spec) for spec in specs]
-        return [future.result() for future in futures]
+        batch = next(self._batches)
+        futures = [self._submit(spec, batch) for spec in specs]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            wait(futures)
+            self._end_batch(batch)
 
     def plan(self, specs: Sequence[ExperimentSpec]) -> SessionPlan:
         """The deduplicated preparation plan of a batch (builds nothing).
@@ -329,6 +350,7 @@ class Session:
         steps only they would have needed are dropped (see
         :func:`~repro.session.planner.plan_specs`).
         """
+        load_execution_modules()
         return plan_specs(
             specs,
             store=self.store if self.result_cache else None,
@@ -384,12 +406,15 @@ class Session:
         """
         return _resolved(self._register(key, builder))
 
-    def _register(self, key: tuple, builder):
+    def _register(self, key: tuple, builder, prep: bool = True):
         """The registry entry of one prep key, built exactly once under a lock.
 
         Like :meth:`_artifact`, but a builder may return a
         :class:`_PendingArtifact`, and that entry is returned as it is; its
-        own ``finish`` records its timing.
+        own ``finish`` records its timing.  ``prep=False`` registers an
+        execution artifact (a batch's shared reference curve), which is
+        neither timed in :attr:`prep_timings` nor counted in
+        ``prep_builds``.
         """
         artifact = self._artifacts.get(key)
         if artifact is not None:
@@ -401,11 +426,44 @@ class Session:
             if artifact is None:
                 start = time.perf_counter()
                 artifact = builder()
-                if not isinstance(artifact, _PendingArtifact):
-                    self._add_timing(key, time.perf_counter() - start)
+                if prep:
+                    if not isinstance(artifact, _PendingArtifact):
+                        self._add_timing(key, time.perf_counter() - start)
+                    self._bump_stat("prep_builds")
                 self._artifacts[key] = artifact
-                self._bump_stat("prep_builds")
         return artifact
+
+    def _shared_reference(self, device: str, experiment):
+        """The batch's share of an IRB experiment's reference curve, or ``None``.
+
+        Within one batch — a :meth:`run_all` or a container's children —
+        IRB experiments whose curve key agrees read one reference curve:
+        the first computes it through :meth:`_register` and the rest wait
+        for it.  The key is the batch token, the canonical device, its live
+        properties fingerprint and the experiment's
+        :meth:`~repro.benchmarking.irb.InterleavedRBExperiment.reference_key`.
+        A job outside a batch, or an unseeded experiment, computes its own.
+        """
+        batch = getattr(self._local, "batch", None)
+        curve = experiment.reference_key()
+        if batch is None or curve is None:
+            return None
+        key = (
+            "reference", batch, _canonical(device),
+            experiment.backend.properties.fingerprint(), *curve,
+        )
+        return lambda compute: self._register(key, compute, prep=False)
+
+    def _end_batch(self, batch: int) -> None:
+        """Drop a finished batch's shared reference curves from the registry.
+
+        Every registered key has a lock, so the locks also reach the keys
+        whose curve raised and was never stored.
+        """
+        with self._registry_lock:
+            for key in [key for key in self._artifact_locks if key[:2] == ("reference", batch)]:
+                del self._artifact_locks[key]
+                self._artifacts.pop(key, None)
 
     def _group_artifact(self, n_qubits: int):
         """The (store-backed) Clifford group, built/loaded exactly once."""
@@ -581,7 +639,7 @@ class Session:
     #: session executes the same key (the in-flight wait loop).
     _INFLIGHT_POLL = 0.1
 
-    def _run_spec(self, spec: ExperimentSpec) -> ExperimentResult:
+    def _run_spec(self, spec: ExperimentSpec, batch: int | None = None) -> ExperimentResult:
         """Serve one spec, wrapped in its (root-job-only) trace.
 
         Every *root* job — a direct ``submit``/``run`` — carries one
@@ -597,11 +655,17 @@ class Session:
         stored document never contains a trace, keeping cached payload +
         provenance bit-identical across serving paths — and emitted to
         the configured :attr:`trace_sink` as one JSON line.
+
+        ``batch`` is the token of the :meth:`run_all` the root job belongs
+        to (``None`` for a single submit); children run in their
+        container's batch.
         """
-        if getattr(self._trace_local, "trace", None) is not None:
+        if getattr(self._local, "trace", None) is not None:
             return self._run_spec_inner(spec)  # sweep child: reuse root trace
+        load_execution_modules()  # executor threads never race a first import
         trace = Trace(spec.kind, spec_fingerprint=spec.fingerprint())
-        self._trace_local.trace = trace
+        self._local.trace = trace
+        self._local.batch = batch
         before = self._store_counters()
         try:
             result = self._run_spec_inner(spec)
@@ -609,7 +673,8 @@ class Session:
             trace.add("error", repr(exc))
             raise
         finally:
-            self._trace_local.trace = None
+            self._local.trace = None
+            self._local.batch = None
             trace.add("store_counter_deltas", _counter_deltas(before, self._store_counters()))
             trace.finish()
             if self.trace_sink is not None:
@@ -620,7 +685,7 @@ class Session:
     @contextmanager
     def _span(self, name: str, **attributes):
         """Record a span on the current job's trace (no-op without one)."""
-        trace = getattr(self._trace_local, "trace", None)
+        trace = getattr(self._local, "trace", None)
         if trace is None:
             yield dict(attributes)
         else:
@@ -808,6 +873,9 @@ class Session:
         with the container's :meth:`~repro.session.specs.ExperimentSpec.payload_header`
         (the sweep's grid, the drift study's day axis) followed by the
         per-child documents.
+
+        The children are one batch: IRB children that draw the same
+        reference curve compute it once (see :meth:`_shared_reference`).
         """
         children = spec.expand()
         with self._span("plan") as attrs:
@@ -816,7 +884,13 @@ class Session:
             attrs["n_points"] = len(children)
         with self._span("prep"):
             self._build_plan(plan)
-        results = [self._run_spec(child) for child in children]
+        outer = getattr(self._local, "batch", None)
+        self._local.batch = batch = next(self._batches)
+        try:
+            results = [self._run_spec(child) for child in children]
+        finally:
+            self._local.batch = outer
+            self._end_batch(batch)
         payload = {
             **spec.payload_header(),
             "children": [
@@ -886,11 +960,15 @@ class Session:
         return payload, {"schedule_fingerprint": schedule.fingerprint()}
 
     def _rb_payload(self, result) -> dict:
-        """Flatten one RBResult into plain payload entries."""
+        """Flatten one RBResult into plain payload entries.
+
+        The arrays are copies: IRB payloads of one batch may flatten the
+        same shared reference curve.
+        """
         return {
-            "lengths": np.asarray(result.lengths),
-            "survival_mean": np.asarray(result.survival_mean),
-            "survival_std": np.asarray(result.survival_std),
+            "lengths": np.array(result.lengths),
+            "survival_mean": np.array(result.survival_mean),
+            "survival_std": np.array(result.survival_std),
             "alpha": float(result.alpha),
             "alpha_err": float(result.alpha_err),
             "error_per_clifford": float(result.error_per_clifford),
@@ -945,7 +1023,7 @@ class Session:
             num_workers=self.num_workers,
             store=self.store,
         )
-        result = experiment.run()
+        result = experiment.run(reference=self._shared_reference(spec.device, experiment))
         lo, hi = result.systematic_bounds
         payload = {
             "gate_name": result.gate_name,

@@ -26,6 +26,7 @@ import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Any, ClassVar
 
+from .loader import load_execution_modules
 from ..utils.validation import ValidationError
 
 __all__ = [
@@ -146,9 +147,18 @@ class ExperimentSpec:
         identically regardless of construction order or object identity —
         the same contract as ``Schedule.fingerprint`` and
         ``BackendProperties.fingerprint`` (see ``docs/caching.md``).
+
+        The digest is memoized on the instance: the spec is frozen and its
+        fields are tuples and scalars, and a session asks for it several
+        times per job (cache key, in-flight lock, trace, publication).
         """
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            cached = hashlib.sha256(payload.encode()).hexdigest()
+            # bypass the frozen-dataclass __setattr__ for the memo slot
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
     def cache_fingerprint(self) -> str:
         """Fingerprint used as the result-cache key of the spec.
@@ -174,7 +184,12 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     -------
     ExperimentSpec
         The reconstructed spec (``spec_from_dict(s.to_dict()) == s``).
+
+    Validation reaches the execution modules (a pulse spec builds its gate
+    config), so they are loaded first, once, under the process-wide lock
+    of :func:`~repro.session.loader.load_execution_modules`.
     """
+    load_execution_modules()
     kind = data.get("kind")
     spec_cls = _SPEC_KINDS.get(kind)
     if spec_cls is None:

@@ -93,17 +93,19 @@ def resolve_store(store) -> ArtifactStore | None:
 
     Parameters
     ----------
-    store : None, False, "auto", str, Path or ArtifactStore
-        ``None`` / ``False`` disable persistence, ``"auto"`` selects
+    store : None, "auto", str, Path or ArtifactStore
+        ``None`` disables persistence, ``"auto"`` selects
         :func:`default_store_root`, a path selects that directory, and an
-        existing store instance is passed through.
+        existing store instance is passed through.  Anything else —
+        ``False`` included — raises :class:`ValidationError`: ``None`` is
+        the one value for "no store".
 
     Returns
     -------
     ArtifactStore or None
         The resolved store.
     """
-    if store is None or store is False:
+    if store is None:
         return None
     if isinstance(store, ArtifactStore):
         return store
@@ -112,5 +114,5 @@ def resolve_store(store) -> ArtifactStore | None:
     if isinstance(store, (str, Path)):
         return ArtifactStore(store)
     raise ValidationError(
-        f"store must be None, False, 'auto', a path or a store instance, got {store!r}"
+        f"store must be None, 'auto', a path or a store instance, got {store!r}"
     )

@@ -217,7 +217,7 @@ def test_generators_reject_repeated_lengths():
 # --------------------------------------------------------------------------- #
 def _reference_survivals(backend, sequences, qubits, shots, group, gate, seed):
     """The per-sequence ``@`` loop over table channels, sampled as the engine samples."""
-    table = clifford_channel_table(backend, qubits, group, store=False)
+    table = clifford_channel_table(backend, qubits, group, store=None)
     inter = interleaved_gate_channel(backend, gate, qubits) if gate is not None else None
     confusion = readout_confusion_matrix([backend.properties.qubit(q) for q in qubits])
     measured = [(q, clbit) for clbit, q in enumerate(qubits)]
@@ -272,7 +272,7 @@ def test_stacked_execution_equals_per_sequence_loop(
         interleaved_gate=interleaved,
         seed=29,
         num_workers=num_workers,
-        store=tmp_path / "store" if with_store else False,
+        store=tmp_path / "store" if with_store else None,
     )
     reference = _reference_survivals(backend, sequences, qubits, 200, group, interleaved, 29)
     assert survivals == reference
@@ -330,7 +330,7 @@ def test_pool_curves_equal_inline_curves(montreal_props, tmp_path, pool_method):
     ]
     for qubits, gate, lengths, calibration in cases:
         for with_store in (False, True):
-            store = tmp_path / f"store-{gate}" if with_store else False
+            store = tmp_path / f"store-{gate}" if with_store else None
             inline = _irb_curves(montreal_props, qubits, gate, lengths, calibration, store, 1)
             pooled = _irb_curves(montreal_props, qubits, gate, lengths, calibration, store, 2)
             assert pooled == inline, (gate, with_store)
@@ -344,7 +344,7 @@ def test_worker_validation_error_surfaces_as_inline(montreal_props, pool_method)
         with pytest.raises(ValidationError) as info:
             execute_rb_sequences(
                 backend, sequences, 1, 100, seed=9, num_workers=num_workers,
-                physical_qubits=[0], store=False,
+                physical_qubits=[0], store=None,
             )
         raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1]
@@ -367,12 +367,12 @@ def test_cold_two_qubit_irb_writes_one_table_generation(montreal_props, tmp_path
 
     monkeypatch.setattr(ArtifactStore, "save_channel_table", counting)
     curves = {}
-    for store in (tmp_path / "store", False):
+    for store in (tmp_path / "store", None):
         backend = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=5)
         result = InterleavedRBExperiment(
             backend, "cx", [0, 1], lengths=(1, 2, 4), n_seeds=2, shots=100, seed=41, store=store,
         ).run()
-        curves[bool(store)] = [_curve_fields(c) for c in (result.reference, result.interleaved)]
+        curves[store is not None] = [_curve_fields(c) for c in (result.reference, result.interleaved)]
     assert len(writes) == 1
     assert curves[True] == curves[False]
 
@@ -383,7 +383,7 @@ def test_ensure_on_covered_indices_does_not_wait_for_the_build_lock(
 ):
     backend = PulseBackend(montreal_props, calibrated_qubits=[0, 1], seed=9)
     table = clifford_channel_table(
-        backend, [0], clifford_group(1), store=tmp_path / "store" if with_store else False
+        backend, [0], clifford_group(1), store=tmp_path / "store" if with_store else None
     )
     table.ensure(range(24))
     held, release = threading.Event(), threading.Event()
