@@ -160,11 +160,12 @@ def _locate_interleaved_element(
         # gate listed target-first: permute to local order (q0, q1)
         swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
         u = swap @ u @ swap
-    if not group.contains(u):
+    try:
+        return group.lookup(u)
+    except ValidationError as exc:
         raise ValidationError(
             f"interleaved gate {interleaved_gate.name!r} is not a Clifford"
-        )
-    return group.lookup(u)
+        ) from exc
 
 
 def rb_circuits(

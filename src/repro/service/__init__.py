@@ -28,8 +28,9 @@ Pieces:
   control/quotas (:class:`AdmissionController`), and the tenant records
   the queue's weighted-fair scheduler runs on,
 * :mod:`~repro.service.client` — :class:`ServiceClient`, the thin
-  ``urllib`` client returning first-class ``ExperimentResult`` objects
-  (bearer-token aware, with bounded transient-failure retry),
+  ``http.client`` client returning first-class ``ExperimentResult``
+  objects over a pool of persistent connections (bearer-token aware,
+  with bounded transient-failure retry),
 * :mod:`~repro.service.smoke` — the self-contained end-to-end check CI
   boots (``python -m repro.service.smoke``),
 * :mod:`~repro.service.cluster` — the multi-daemon subprocess harness

@@ -1,4 +1,4 @@
-"""A thin HTTP client for the experiment service (stdlib ``urllib``).
+"""A thin HTTP client for the experiment service (stdlib ``http.client``).
 
 :class:`ServiceClient` speaks the daemon's JSON API and converts finished
 jobs back into first-class
@@ -24,18 +24,29 @@ errors, the server's ``Retry-After`` hint for 429s.  Anything
 non-transient (400/401/403/404/413, a failed job) surfaces immediately.
 Retried submissions are safe to replay: results are content-addressed,
 so a duplicate landing twice deduplicates server-side.
+
+The client keeps its HTTP/1.1 connections open between calls: a small
+pool of ``http.client.HTTPConnection`` objects, one per call in flight,
+reused newest first.  The daemon closes a connection that stays idle
+too long or outlives a restart; a request that fails on such a *reused*
+connection before any response arrives is sent once more on a fresh
+one, so a stale socket never surfaces as an error.  :meth:`ServiceClient.close`
+(or a ``with`` block) closes the idle connections.  Proxy settings from
+the environment are not consulted.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
+from urllib.parse import urlsplit
 
 from ..session.results import ExperimentResult
 from ..session.specs import ExperimentSpec
+from ..utils.validation import ValidationError
 
 __all__ = ["ServiceClient", "ServiceError", "JobFailedError"]
 
@@ -86,6 +97,10 @@ class ServiceClient:
         instead.
     backoff_cap_s : float
         Upper bound on any single backoff sleep.
+
+    The client is safe to share between threads: each call checks a
+    kept-alive connection out of the client's pool (or opens one) and
+    returns it once the response is read.
     """
 
     def __init__(
@@ -103,9 +118,37 @@ class ServiceClient:
         self.max_retries = max(0, int(max_retries))
         self.backoff_s = float(backoff_s)
         self.backoff_cap_s = float(backoff_cap_s)
+        url = urlsplit(self.base_url)
+        connection_types = {
+            "http": http.client.HTTPConnection,
+            "https": http.client.HTTPSConnection,
+        }
+        if url.scheme not in connection_types or not url.netloc:
+            raise ValidationError(
+                f"base_url must be http://host:port or https://host:port, got {base_url!r}"
+            )
+        self._connection_type = connection_types[url.scheme]
+        self._netloc = url.netloc
+        self._path_prefix = url.path
+        #: Idle kept-alive connections, the most recently used last.
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
 
     def __repr__(self) -> str:
         return f"ServiceClient({self.base_url!r})"
+
+    def close(self) -> None:
+        """Close every idle connection (the client stays usable)."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
     # transport
@@ -115,37 +158,88 @@ class ServiceClient:
             headers["Authorization"] = f"Bearer {self.token}"
         return headers
 
+    def _connect(self) -> http.client.HTTPConnection:
+        return self._connection_type(self._netloc, timeout=self.timeout)
+
+    def _exchange(
+        self, method: str, path: str, body: bytes | None, headers: dict
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """One request on a pooled connection: the response and its body.
+
+        A connection taken from the pool may have been closed by the
+        daemon (idle timeout, restart) since its last use.  If it fails
+        before the status line arrives, the request goes once more on a
+        fresh connection.  Any other failure, and any failure of a fresh
+        connection, propagates.  The connection goes back to the pool
+        once the whole response is read.
+        """
+        with self._idle_lock:
+            reused = self._idle.pop() if self._idle else None
+        connection = reused if reused is not None else self._connect()
+        target = self._path_prefix + path
+        try:
+            try:
+                connection.request(method, target, body=body, headers=headers)
+                response = connection.getresponse()
+            except ConnectionError:  # RemoteDisconnected is one too
+                if connection is not reused:
+                    raise
+                connection.close()
+                connection = self._connect()
+                connection.request(method, target, body=body, headers=headers)
+                response = connection.getresponse()
+            data = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(connection)
+        return response, data
+
+    def _round_trip(
+        self,
+        method: str,
+        path: str,
+        body: bytes | None = None,
+        accept: str = "application/json",
+    ) -> bytes:
+        """One HTTP round trip's body; raises :class:`ServiceError` on failure."""
+        headers = self._headers({"Accept": accept})
+        if body is not None:
+            headers["Content-Type"] = "application/json"
+        try:
+            response, data = self._exchange(method, path, body, headers)
+        except TimeoutError:
+            raise  # a slow daemon is not a restart window: never retried
+        except (OSError, http.client.HTTPException) as exc:
+            raise ServiceError(
+                f"service unreachable at {self.base_url}: {exc!r}"
+            ) from exc
+        if response.status < 300:
+            return data
+        try:
+            document = json.loads(data or b"{}")
+        except ValueError:
+            document = {}
+        if not isinstance(document, dict):
+            document = {}
+        message = document.get("error", f"HTTP {response.status} on {method} {path}")
+        error = ServiceError(message, status=response.status, payload=document)
+        retry_after = response.getheader("Retry-After")
+        if retry_after is not None:
+            try:
+                error.retry_after_s = float(retry_after)
+            except ValueError:
+                pass
+        raise error
+
     def _request_once(self, method: str, path: str, payload: dict | None = None) -> dict:
         """One JSON round trip; raises :class:`ServiceError` on failure."""
-        body = None
-        headers = self._headers({"Accept": "application/json"})
-        if payload is not None:
-            body = json.dumps(payload).encode()
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=body, headers=headers, method=method
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read() or b"{}")
-        except urllib.error.HTTPError as exc:
-            try:
-                document = json.loads(exc.read() or b"{}")
-            except json.JSONDecodeError:
-                document = {}
-            message = document.get("error", f"HTTP {exc.code} on {method} {path}")
-            error = ServiceError(message, status=exc.code, payload=document)
-            retry_after = exc.headers.get("Retry-After") if exc.headers else None
-            if retry_after is not None:
-                try:
-                    error.retry_after_s = float(retry_after)
-                except ValueError:
-                    pass
-            raise error from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"service unreachable at {self.base_url}: {exc.reason}"
-            ) from exc
+        body = None if payload is None else json.dumps(payload).encode()
+        return json.loads(self._round_trip(method, path, body) or b"{}")
 
     def _request(self, method: str, path: str, payload: dict | None = None) -> dict:
         """:meth:`_request_once` plus the bounded transient-retry loop.
@@ -192,21 +286,7 @@ class ServiceClient:
         The one non-JSON endpoint: the raw exposition text is returned
         as-is, ready for a scraper or ``docs/check_metrics.py``.
         """
-        request = urllib.request.Request(
-            self.base_url + "/v1/metrics",
-            headers=self._headers({"Accept": "text/plain"}),
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            raise ServiceError(
-                f"HTTP {exc.code} on GET /v1/metrics", status=exc.code
-            ) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"service unreachable at {self.base_url}: {exc.reason}"
-            ) from exc
+        return self._round_trip("GET", "/v1/metrics", accept="text/plain").decode("utf-8")
 
     def submit(self, spec: ExperimentSpec | dict) -> str:
         """Submit one spec (object or ``to_dict`` payload); returns the job id."""
@@ -266,7 +346,7 @@ class ServiceClient:
             document = self.status(job_id, wait=max(0.0, min(remaining, self.timeout / 2)))
             state = document["status"]
             if state == "done":
-                return ExperimentResult.from_json(json.dumps(document["result"]))
+                return ExperimentResult.from_document(document["result"])
             if state == "failed":
                 raise JobFailedError(
                     document.get("error", "job failed"), payload=document

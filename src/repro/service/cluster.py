@@ -115,6 +115,7 @@ class DaemonProcess:
         self.process: subprocess.Popen | None = None
         self._paused = False
         self._output: deque[str] = deque(maxlen=200)
+        self._clients: dict[str | None, ServiceClient] = {}
         self._url_ready = threading.Event()
         self._drain_thread: threading.Thread | None = None
 
@@ -218,10 +219,17 @@ class DaemonProcess:
         return self.process is not None and self.process.poll() is None
 
     def client(self, token: str | None = None) -> ServiceClient:
-        """A :class:`ServiceClient` bound to this daemon's address."""
+        """The :class:`ServiceClient` bound to this daemon's address.
+
+        One client per token, kept (with its open connections) until
+        :meth:`close`.
+        """
         if self.url is None:
             raise RuntimeError("daemon has no address yet; call start() first")
-        return ServiceClient(self.url, token=token)
+        client = self._clients.get(token)
+        if client is None:  # setdefault: racing callers share one client
+            client = self._clients.setdefault(token, ServiceClient(self.url, token=token))
+        return client
 
     def output(self) -> str:
         """The daemon's captured stdout/stderr so far (ring-buffered)."""
@@ -229,6 +237,9 @@ class DaemonProcess:
 
     def close(self) -> None:
         """Tear the subprocess down (terminate, then kill), join and close IO."""
+        for client in self._clients.values():
+            client.close()
+        self._clients.clear()
         if self.process is not None:
             self.terminate()
         if self._drain_thread is not None:

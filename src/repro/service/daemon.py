@@ -273,16 +273,19 @@ class ExperimentService:
     def stop(self) -> None:
         """Shut everything down in dependency order (idempotent).
 
-        The HTTP server stops accepting first, then the workers drain
-        their current jobs, then the GC thread and the queue close.  A job
+        The HTTP server stops accepting first.  :meth:`JobQueue.kick` then
+        releases pending ``?wait=`` long-polls, each answering with its job
+        as it stands, and the server closes its kept-alive client
+        connections once their responses are out.  Then the workers drain
+        their current jobs, and the GC thread and the queue close.  A job
         still running at shutdown is re-queued by :meth:`JobQueue.recover`
-        on the next start — nothing is lost.  The pool's shutdown
-        :meth:`JobQueue.kick` also releases pending ``?wait=`` long-polls
-        before the drain: each answers with its job as it stands.
+        on the next start — nothing is lost.
         """
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
+            self.queue.kick()
+            self._server.close_connections()
             self._server = None
         if self._server_thread is not None:
             self._server_thread.join(timeout=10.0)

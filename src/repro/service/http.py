@@ -36,12 +36,22 @@ open and submissions run as the anonymous tenant.  Submissions also pass
 the tenant's admission control: a broken quota is a ``429`` carrying a
 ``Retry-After`` header and a structured body (``error`` / ``reason`` /
 ``retry_after_s``).
+
+**Connections** are persistent (HTTP/1.1 keep-alive): one socket serves
+any number of requests, each on the same handler thread.  Every response
+carries a ``Content-Length``, and every exit of ``POST`` reads (or drains)
+the request body first, so the next request on the socket starts at a
+request line.  A connection left idle for :attr:`ServiceRequestHandler.timeout`
+seconds is closed, and :meth:`ServiceHTTPServer.close_connections` ends
+the rest when the daemon stops.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import socket
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -49,7 +59,7 @@ from ..session.specs import spec_from_dict
 from ..utils.validation import ValidationError
 from .tenancy import AuthError, QuotaExceeded, Tenant
 
-__all__ = ["ServiceRequestHandler", "make_server"]
+__all__ = ["ServiceHTTPServer", "ServiceRequestHandler", "make_server"]
 
 #: Request bodies above this many bytes are rejected (413) before parsing.
 MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -74,6 +84,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1.0"
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out in two sends; without ``TCP_NODELAY``,
+    #: Nagle's algorithm holds the body for the client's delayed ACK
+    #: (tens of milliseconds per request on a reused connection).
+    disable_nagle_algorithm = True
+    #: Seconds a keep-alive connection may sit idle (or a read or write
+    #: may stall) before the handler closes it and its thread exits.
+    timeout = 30.0
 
     # ------------------------------------------------------------------ #
     # plumbing
@@ -86,6 +103,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
@@ -99,19 +118,45 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(encoded)
 
+    def _body_length(self) -> int | None:
+        """The body's ``Content-Length``, or None when it cannot be known.
+
+        A chunked body or a malformed length leaves the end of the body
+        unknown, so the connection closes after the answer rather than
+        parse the rest of the body as the next request.
+        """
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            return None
+        try:
+            return int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            self.close_connection = True
+            return None
+
+    def _discard_body(self) -> None:
+        """Read and drop the request body (bounded chunks, nothing kept).
+
+        Every ``POST`` exit that answers without reading the body calls
+        it: the client finishes its upload and reads a clean answer
+        instead of a broken pipe, and the next request on the kept-alive
+        connection starts at its request line instead of in this body.
+        """
+        remaining = self._body_length() or 0
+        while remaining > 0:
+            chunk = self.rfile.read(min(65536, remaining))
+            if not chunk:
+                break
+            remaining -= len(chunk)
+
     def _read_json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._body_length()
+        if length is None:
+            raise ValidationError("request body needs an integer Content-Length")
         if length <= 0:
             raise ValidationError("request body is empty")
         if length > MAX_BODY_BYTES:
-            # drain (bounded chunks, nothing kept) so the client finishes
-            # its upload and reads a clean 413 instead of a broken pipe
-            remaining = length
-            while remaining > 0:
-                chunk = self.rfile.read(min(65536, remaining))
-                if not chunk:
-                    break
-                remaining -= len(chunk)
+            self._discard_body()
             raise _PayloadTooLarge(f"request body exceeds {MAX_BODY_BYTES} bytes")
         try:
             return json.loads(self.rfile.read(length))
@@ -232,12 +277,14 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         """Dispatch POST endpoints (spec submission)."""
         path = urlsplit(self.path).path.rstrip("/")
         if path != "/v1/experiments":
+            self._discard_body()
             self._send_json(404, {"error": f"no such endpoint: {path}"})
             return
         service = self.server.service
         try:
             tenant = self._authenticate()
         except AuthError as exc:
+            self._discard_body()
             self._send_auth_error(exc)
             return
         try:
@@ -284,14 +331,57 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         )
 
 
-def make_server(host: str, port: int, service) -> ThreadingHTTPServer:
+class ServiceHTTPServer(ThreadingHTTPServer):
+    """The threaded server, tracking its open connections.
+
+    Each accepted connection is served by its own daemonic handler thread
+    for as long as the client keeps it alive, so stopping the listener
+    alone would leave those threads serving a stopped daemon;
+    :meth:`close_connections` ends them.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, address: tuple[str, int], service):
+        super().__init__(address, ServiceRequestHandler)
+        self.service = service
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        """Register the connection, then hand it to a handler thread."""
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        """Unregister the connection as its handler thread closes it."""
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Stop reading from every open connection.
+
+        An idle handler, blocked on its next request line, reads end of
+        stream at once and closes its socket; a handler still answering a
+        request writes its response first, then does the same.  Call it
+        after :meth:`shutdown`, so no connection is accepted afterwards.
+        """
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:  # the peer closed it meanwhile
+                pass
+
+
+def make_server(host: str, port: int, service) -> ServiceHTTPServer:
     """A threaded HTTP server bound to ``host:port`` serving ``service``.
 
     ``port=0`` binds an ephemeral port (read it back from
     ``server.server_address``); threads are daemonic so a hung client
     never blocks daemon shutdown.
     """
-    server = ThreadingHTTPServer((host, port), ServiceRequestHandler)
-    server.daemon_threads = True
-    server.service = service
-    return server
+    return ServiceHTTPServer((host, port), service)

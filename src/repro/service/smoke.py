@@ -36,6 +36,7 @@ module.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import tempfile
 import time
@@ -88,8 +89,7 @@ def run_smoke(
             host="127.0.0.1", port=0, store=store_root or f"{scratch}/store", workers=1,
             shadow_rate=shadow_rate, worker_mode=worker_mode,
         )
-        with ExperimentService(config) as service:
-            client = ServiceClient(service.url)
+        with ExperimentService(config) as service, ServiceClient(service.url) as client:
             health = client.health()
             _expect(health.get("status") == "ok", f"healthz not ok: {health}")
             _expect(health.get("worker_mode") == worker_mode,
@@ -200,8 +200,12 @@ def run_auth_smoke(timeout: float = 60.0) -> int:
             host="127.0.0.1", port=0, store=f"{scratch}/store", workers=0,
             tokens=registry,
         )
-        with ExperimentService(config) as service:
-            health = ServiceClient(service.url).health()
+        with ExperimentService(config) as service, contextlib.ExitStack() as clients:
+
+            def connect(**kwargs) -> ServiceClient:
+                return clients.enter_context(ServiceClient(service.url, **kwargs))
+
+            health = connect().health()
             _expect(
                 health.get("auth", {}).get("enabled") is True,
                 f"daemon did not report auth enabled: {health}",
@@ -209,9 +213,8 @@ def run_auth_smoke(timeout: float = 60.0) -> int:
             print(f"auth-enabled daemon up at {service.url} (2 tenants)")
 
             for label, client in (
-                ("no token", ServiceClient(service.url, max_retries=0)),
-                ("unknown token", ServiceClient(
-                    service.url, token="not-a-real-token", max_retries=0)),
+                ("no token", connect(max_retries=0)),
+                ("unknown token", connect(token="not-a-real-token", max_retries=0)),
             ):
                 try:
                     client.submit(spec)
@@ -223,9 +226,7 @@ def run_auth_smoke(timeout: float = 60.0) -> int:
                     )
                 print(f"{label} -> 401 ok")
 
-            interactive = ServiceClient(
-                service.url, token="smoke-interactive-token", timeout=timeout
-            )
+            interactive = connect(token="smoke-interactive-token", timeout=timeout)
             job_id = interactive.submit(spec)
             document = interactive.status(job_id)
             _expect(
@@ -235,9 +236,7 @@ def run_auth_smoke(timeout: float = 60.0) -> int:
             )
             print(f"valid token -> 201 ok (job {job_id}, tenant ci-interactive)")
 
-            batch = ServiceClient(
-                service.url, token="smoke-batch-token", max_retries=0
-            )
+            batch = connect(token="smoke-batch-token", max_retries=0)
             batch.submit(spec)
             try:
                 batch.submit(spec)

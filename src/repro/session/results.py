@@ -161,7 +161,15 @@ class ExperimentResult:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentResult":
         """Rebuild a result from :meth:`to_json` output."""
-        document = json.loads(text)
+        return cls.from_document(json.loads(text))
+
+    @classmethod
+    def from_document(cls, document: dict) -> "ExperimentResult":
+        """Rebuild a result from :meth:`to_json` output already parsed.
+
+        The service's job documents carry a finished result this way, so
+        a client decodes it without serializing it again.
+        """
         if document.get("format") != "repro.session.result/v1":
             raise ValidationError(
                 f"not a session result document: format={document.get('format')!r}"

@@ -128,8 +128,12 @@ def pool_start_method() -> str:
 
 
 def _propagated_environment() -> dict[str, str]:
-    """The ``REPRO_*`` knobs a spawned worker must see (snapshot)."""
-    return {key: value for key, value in os.environ.items() if key.startswith("REPRO_")}
+    """The ``REPRO_*`` knobs a spawned worker must see (snapshot).
+
+    Only the matching variables' values are read: ``os.environ.items()``
+    would decode every value of the environment on each call.
+    """
+    return {key: os.environ[key] for key in os.environ if key.startswith("REPRO_")}
 
 
 def _worker_init(environment: dict[str, str]) -> None:

@@ -387,8 +387,7 @@ class TestShadowVerification:
 class TestServiceMetrics:
     def test_exposition_is_valid_before_and_after_jobs(self, tmp_path, store):
         spec = RBSpec(**FAST_RB)
-        with _service(tmp_path, store) as service:
-            client = ServiceClient(service.url)
+        with _service(tmp_path, store) as service, ServiceClient(service.url) as client:
             before = client.metrics()
             assert check_metrics.validate(before) == []
             assert 'repro_jobs{status="done"} 0' in before
@@ -408,8 +407,7 @@ class TestServiceMetrics:
             assert "repro_cache_hit_ratio 0.5" in final
 
     def test_exposition_stays_valid_under_concurrent_scrapes(self, tmp_path, store):
-        with _service(tmp_path, store) as service:
-            client = ServiceClient(service.url)
+        with _service(tmp_path, store) as service, ServiceClient(service.url) as client:
             job_ids = [
                 client.submit(RBSpec(**{**FAST_RB, "seed": seed})) for seed in (21, 22)
             ]
@@ -431,8 +429,7 @@ class TestServiceMetrics:
 
     def test_daemon_shadow_rate_flows_to_workers(self, tmp_path, store):
         spec = RBSpec(**FAST_RB)
-        with _service(tmp_path, store, shadow_rate=1.0) as service:
-            client = ServiceClient(service.url)
+        with _service(tmp_path, store, shadow_rate=1.0) as service, ServiceClient(service.url) as client:
             client.result(client.submit(spec), timeout=120.0)
             replay = client.result(client.submit(spec), timeout=120.0)
             text = client.metrics()
@@ -446,8 +443,7 @@ class TestServiceMetrics:
 
     def test_daemon_trace_file_collects_worker_traces(self, tmp_path, store):
         sink_path = tmp_path / "service-traces.jsonl"
-        with _service(tmp_path, store, trace_file=sink_path) as service:
-            client = ServiceClient(service.url)
+        with _service(tmp_path, store, trace_file=sink_path) as service, ServiceClient(service.url) as client:
             client.result(client.submit(RBSpec(**FAST_RB)), timeout=120.0)
         lines = [json.loads(line) for line in sink_path.read_text().splitlines()]
         assert len(lines) == 1 and lines[0]["kind"] == "rb"

@@ -137,8 +137,7 @@ class TestThroughHTTPService:
             store=ArtifactStore(tmp_path / "store"),
             queue_path=tmp_path / "queue.sqlite3", workers=1,
         )
-        with ExperimentService(config) as service:
-            client = ServiceClient(service.url)
+        with ExperimentService(config) as service, ServiceClient(service.url) as client:
             job_id = client.submit(spec)
             remote = client.result(job_id, timeout=120.0)
         assert remote.kind == "optimizer"

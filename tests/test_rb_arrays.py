@@ -212,6 +212,12 @@ def test_generators_reject_repeated_lengths():
         purity_rb_sequences([0], lengths=(2, 8, 2), n_seeds=2, seed=1)
 
 
+@pytest.mark.parametrize("gate", [Gate.standard("t"), Gate.standard("rx", 0.3)])
+def test_non_clifford_interleaved_gate_is_named(gate):
+    with pytest.raises(ValidationError, match=f"interleaved gate '{gate.name}' is not a Clifford"):
+        rb_sequences([0], (1, 4, 8), 1, seed=1, interleaved_gate=gate)
+
+
 # --------------------------------------------------------------------------- #
 # execution: stacked matmuls == per-sequence loop
 # --------------------------------------------------------------------------- #

@@ -228,8 +228,7 @@ class TestServiceRoundTrip:
         with Session(store=ArtifactStore(tmp_path / "direct"), num_workers=1) as session:
             [direct] = session.run_all([spec])
 
-        with _service(tmp_path, store) as service:
-            client = ServiceClient(service.url)
+        with _service(tmp_path, store) as service, ServiceClient(service.url) as client:
             assert client.health()["status"] == "ok"
             job_id = client.submit(spec)
             remote = client.result(job_id, timeout=120.0)
@@ -240,8 +239,7 @@ class TestServiceRoundTrip:
         assert store.namespace_stats("results")["writes"] == 1
 
     def test_http_error_surface(self, tmp_path, store):
-        with _service(tmp_path, store, workers=0) as service:
-            client = ServiceClient(service.url)
+        with _service(tmp_path, store, workers=0) as service, ServiceClient(service.url) as client:
             with pytest.raises(ServiceError) as err:
                 client.status("no-such-job")
             assert err.value.status == 404
@@ -270,8 +268,7 @@ class TestServiceRoundTrip:
             assert client.store_stats()["stats"]["results"]["writes"] == 0
 
     def test_unrunnable_spec_is_rejected_before_queueing(self, tmp_path, store):
-        with _service(tmp_path, store, workers=0) as service:
-            client = ServiceClient(service.url)
+        with _service(tmp_path, store, workers=0) as service, ServiceClient(service.url) as client:
             for bad in ({"shots": 0}, {"n_seeds": 0}, {"lengths": [0, 4, 8]},
                         {"qubits": [0, 0]}, {"lengths": [1.9, 4, 8, 16]}):
                 with pytest.raises(ServiceError) as err:
@@ -286,8 +283,7 @@ class TestServiceRoundTrip:
         for body in bodies:
             with pytest.raises(ValidationError, match="num_workers"):
                 spec_from_dict(body)
-        with _service(tmp_path, store, workers=0) as service:
-            client = ServiceClient(service.url)
+        with _service(tmp_path, store, workers=0) as service, ServiceClient(service.url) as client:
             for body in bodies:
                 with pytest.raises(ServiceError) as err:
                     client.submit(body)
@@ -296,8 +292,7 @@ class TestServiceRoundTrip:
 
     def test_failed_job_reports_the_error(self, tmp_path, store):
         bad = RBSpec(**{**FAST_RB, "qubits": (5,)})  # valid spec, uncalibrated qubit
-        with _service(tmp_path, store) as service:
-            client = ServiceClient(service.url)
+        with _service(tmp_path, store) as service, ServiceClient(service.url) as client:
             job_id = client.submit(bad)
             with pytest.raises(JobFailedError):
                 client.result(job_id, timeout=120.0)
@@ -314,15 +309,16 @@ class TestServiceRoundTrip:
         spec = RBSpec(**FAST_RB)
         with _service(tmp_path, store, workers=0) as frontend:
             with _service(tmp_path, ArtifactStore(store.root), workers=1) as backend:
-                client = ServiceClient(frontend.url)
-                job_id = client.submit(spec)
-                result = client.result(job_id, timeout=120.0)
+                with ServiceClient(frontend.url) as client:
+                    job_id = client.submit(spec)
+                    result = client.result(job_id, timeout=120.0)
                 assert result.kind == "rb"
                 # the worker daemon's lease identity is on the record
                 done = backend.queue.get(job_id)
                 assert done.status == "done"
                 assert done.attempts == 1 and done.lease_generation == 1
-                health = ServiceClient(backend.url).health()
+                with ServiceClient(backend.url) as client:
+                    health = client.health()
                 assert health["lease"]["owner_id"] == backend.owner_id
                 assert health["sessions"]["executions"] == 1
                 # the publication landed on the worker daemon's store
@@ -418,8 +414,7 @@ class TestLongPoll:
 
     def test_wait_returns_on_completion(self, tmp_path, store, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_EXECUTE_DELAY_S", "1.0")
-        with _service(tmp_path, store) as service:
-            client = ServiceClient(service.url)
+        with _service(tmp_path, store) as service, ServiceClient(service.url) as client:
             job_id = client.submit(RBSpec(**LONG_POLL_RB))
             document = client._request("GET", f"/v1/experiments/{job_id}?wait=5")
             returned = time.time()
@@ -429,8 +424,10 @@ class TestLongPoll:
     def test_wait_parameter_validation(self, tmp_path, store, monkeypatch):
         from repro.service import http
 
-        with _service(tmp_path, store, workers=0) as service:
-            client = ServiceClient(service.url, max_retries=0)
+        with (
+            _service(tmp_path, store, workers=0) as service,
+            ServiceClient(service.url, max_retries=0) as client,
+        ):
             job_id = client.submit(RBSpec(**LONG_POLL_RB))  # parked: no workers
             for bad_wait in ("abc", "-1", "nan", "inf"):
                 with pytest.raises(ServiceError) as err:
@@ -453,8 +450,7 @@ class TestLongPoll:
         """Every long-poll waits at most half the socket timeout, so a
         job outlasting the timeout needs no transport retry."""
         monkeypatch.setenv("REPRO_FAULT_EXECUTE_DELAY_S", "1.5")
-        with _service(tmp_path, store) as service:
-            client = ServiceClient(service.url, timeout=0.5)
+        with _service(tmp_path, store) as service, ServiceClient(service.url, timeout=0.5) as client:
             job_id = client.submit(RBSpec(**LONG_POLL_RB))
             paths, errors = [], []
             request_once = client._request_once
@@ -476,8 +472,7 @@ class TestLongPoll:
         assert all(0.0 < wait <= 0.25 for wait in waits)
 
     def test_result_timeout_on_parked_job(self, tmp_path, store, monkeypatch):
-        with _service(tmp_path, store, workers=0) as service:
-            client = ServiceClient(service.url)
+        with _service(tmp_path, store, workers=0) as service, ServiceClient(service.url) as client:
             job_id = client.submit(RBSpec(**LONG_POLL_RB))
             calls = []
             status = client.status
@@ -515,6 +510,7 @@ class TestLongPoll:
         service.stop()
         stopped = time.monotonic()
         poll.join(timeout=10.0)
+        client.close()
         assert not poll.is_alive()
         assert stopped - started < 10.0  # the drain of the busy worker
         assert outcome["returned"] < stopped - 1.0  # released before the drain ended
@@ -526,8 +522,7 @@ class TestRestartResume:
     def test_queued_jobs_survive_restart(self, tmp_path, store):
         spec = RBSpec(**FAST_RB)
         # accept-only daemon: jobs queue durably, nothing executes
-        with _service(tmp_path, store, workers=0) as service:
-            client = ServiceClient(service.url)
+        with _service(tmp_path, store, workers=0) as service, ServiceClient(service.url) as client:
             job_ids = [client.submit(spec), client.submit(RBSpec(**{**FAST_RB, "seed": 6}))]
             assert client.health()["jobs"]["queued"] == 2
 
@@ -540,8 +535,8 @@ class TestRestartResume:
         # a fresh daemon over the same queue+store resumes and finishes
         with _service(tmp_path, store, workers=1) as service:
             assert service.recovered_jobs == 1
-            client = ServiceClient(service.url)
-            results = [client.result(job_id, timeout=120.0) for job_id in job_ids]
+            with ServiceClient(service.url) as client:
+                results = [client.result(job_id, timeout=120.0) for job_id in job_ids]
         assert [r.kind for r in results] == ["rb", "rb"]
         assert results[0].payload_fingerprint() != results[1].payload_fingerprint()
 
@@ -549,23 +544,22 @@ class TestRestartResume:
         """stop() then start() on one daemon object must work end to end."""
         service = _service(tmp_path, store, workers=1)
         service.start()
-        client = ServiceClient(service.url)
-        client.result(client.submit(RBSpec(**FAST_RB)), timeout=120.0)
+        with ServiceClient(service.url) as client:
+            client.result(client.submit(RBSpec(**FAST_RB)), timeout=120.0)
         service.stop()
 
         service.start()  # same instance: queue reconnects, pool restarts
-        client = ServiceClient(service.url)
-        client.result(client.submit(RBSpec(**{**FAST_RB, "seed": 11})), timeout=120.0)
-        # stale first-run sessions were dropped: only the live worker counts
-        assert client.health()["sessions"]["executions"] == 1
+        with ServiceClient(service.url) as client:
+            client.result(client.submit(RBSpec(**{**FAST_RB, "seed": 11})), timeout=120.0)
+            # stale first-run sessions were dropped: only the live worker counts
+            assert client.health()["sessions"]["executions"] == 1
         service.stop()
 
 
 class TestExactlyOnceExecution:
     def test_daemon_duplicate_submissions_execute_once(self, tmp_path, store):
         spec = RBSpec(**FAST_RB)
-        with _service(tmp_path, store, workers=2) as service:
-            client = ServiceClient(service.url)
+        with _service(tmp_path, store, workers=2) as service, ServiceClient(service.url) as client:
             job_ids = [client.submit(spec) for _ in range(2)]
             results = [client.result(job_id, timeout=120.0) for job_id in job_ids]
             sessions = client.health()["sessions"]
@@ -762,5 +756,6 @@ class TestResultRetention:
         ) as service:
             swept = service.sweep()
             assert swept["removed"] == 1
-            assert ServiceClient(service.url).health()["last_gc"]["removed"] == 1
+            with ServiceClient(service.url) as client:
+                assert client.health()["last_gc"]["removed"] == 1
         assert store.ls("results") == []

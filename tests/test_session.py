@@ -250,6 +250,9 @@ class TestExperimentResult:
         )
         path = result.save(tmp_path / "out" / "result.json")
         back = ExperimentResult.load(path)
+        parsed = ExperimentResult.from_document(json.loads(path.read_text()))
+        assert parsed.payload_fingerprint() == back.payload_fingerprint()
+        assert parsed.provenance == back.provenance and parsed.spec == back.spec
         assert back.kind == "rb"
         assert np.array_equal(back["lengths"], result["lengths"])
         assert back["lengths"].dtype == result["lengths"].dtype
@@ -264,6 +267,8 @@ class TestExperimentResult:
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValidationError):
             ExperimentResult.from_json(json.dumps({"format": "something-else"}))
+        with pytest.raises(ValidationError):
+            ExperimentResult.from_document({"format": "something-else"})
 
 
 @pytest.fixture(scope="module")

@@ -356,29 +356,31 @@ class TestAuthOverHttp:
         spec = RBSpec(**FAST_RB)
         with _service(tmp_path) as service:
             # open endpoints answer without credentials
-            anonymous = ServiceClient(service.url, max_retries=0)
-            health = anonymous.health()
-            assert health["auth"]["enabled"] is True and health["auth"]["tenants"] == 3
-            assert "repro_tenant_queue_depth" in anonymous.metrics()
+            with ServiceClient(service.url, max_retries=0) as anonymous:
+                health = anonymous.health()
+                assert health["auth"]["enabled"] is True and health["auth"]["tenants"] == 3
+                assert "repro_tenant_queue_depth" in anonymous.metrics()
 
             for token, status in (None, 401), ("wrong", 401), ("barred-token", 403):
-                client = ServiceClient(service.url, token=token, max_retries=0)
-                with pytest.raises(ServiceError) as err:
-                    client.submit(spec)
-                assert err.value.status == status
-                with pytest.raises(ServiceError) as err:
-                    client.jobs()
-                assert err.value.status == status
+                with ServiceClient(service.url, token=token, max_retries=0) as client:
+                    with pytest.raises(ServiceError) as err:
+                        client.submit(spec)
+                    assert err.value.status == status
+                    with pytest.raises(ServiceError) as err:
+                        client.jobs()
+                    assert err.value.status == status
 
-            live = ServiceClient(service.url, token="live-token")
-            document = live.status(live.submit(spec))
+            with ServiceClient(service.url, token="live-token") as live:
+                document = live.status(live.submit(spec))
             assert document["tenant"] == "live"
             assert document["priority"] == "interactive"
 
     def test_quota_429_then_admitted_after_drain(self, tmp_path):
         spec = RBSpec(**FAST_RB)
-        with _service(tmp_path) as service:
-            bulk = ServiceClient(service.url, token="bulk-token", max_retries=0)
+        with (
+            _service(tmp_path) as service,
+            ServiceClient(service.url, token="bulk-token", max_retries=0) as bulk,
+        ):
             job_id = bulk.submit(spec)
             with pytest.raises(ServiceError) as err:
                 bulk.submit({**spec.to_dict(), "seed": 6})
@@ -412,20 +414,22 @@ class TestAuthOverHttp:
         }
         spec = RBSpec(**FAST_RB)
         with _service(tmp_path, tokens=registry) as service:
-            bare = ServiceClient(service.url, token="m-token", max_retries=0)
-            bare.submit(spec)
-            with pytest.raises(ServiceError) as err:
-                bare.submit({**spec.to_dict(), "seed": 6})
+            with ServiceClient(service.url, token="m-token", max_retries=0) as bare:
+                bare.submit(spec)
+                with pytest.raises(ServiceError) as err:
+                    bare.submit({**spec.to_dict(), "seed": 6})
             assert err.value.status == 429 and err.value.payload["reason"] == "rate"
 
-            retrying = ServiceClient(service.url, token="m-token", max_retries=3)
-            retrying.submit({**spec.to_dict(), "seed": 7})  # retried past the 429
-            tenants = retrying.tenants()["tenants"]
+            with ServiceClient(service.url, token="m-token", max_retries=3) as retrying:
+                retrying.submit({**spec.to_dict(), "seed": 7})  # retried past the 429
+                tenants = retrying.tenants()["tenants"]
             assert tenants["metered"]["accounting"]["submitted"] == 2
 
     def test_no_auth_service_stays_open(self, tmp_path):
-        with _service(tmp_path, tokens=None, no_auth=True) as service:
-            client = ServiceClient(service.url, max_retries=0)
+        with (
+            _service(tmp_path, tokens=None, no_auth=True) as service,
+            ServiceClient(service.url, max_retries=0) as client,
+        ):
             assert client.health()["auth"]["enabled"] is False
             job_id = client.submit(RBSpec(**FAST_RB))
             assert client.status(job_id)["tenant"] == "anonymous"
